@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from argparse import ArgumentError
 from fractions import Fraction
@@ -252,6 +253,15 @@ def cmd_builtin(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so usage errors map to the exit-code contract."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1,0,1" for an option because only plain numbers
+        # count as negative; no lagsel option starts with a digit. The pattern
+        # is a private attribute (checked against CPython 3.11), so a
+        # rename fails here instead of silently dropping the fix.
+        assert hasattr(self, "_negative_number_matcher"), "argparse internals changed"
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ArgumentError(None, message)

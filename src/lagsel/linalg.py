@@ -57,16 +57,24 @@ def as_vector(entries: Iterable, dim: int | None = None) -> Vector:
     return vec
 
 
-def _rows_to_int(rows: Sequence[Vector]) -> list[list[int]]:
-    # Scale each row by the lcm of its denominators; row scaling preserves
-    # the row space, so RREF is unaffected.
+def denominator_lcm(values: Iterable[Fraction]) -> int:
+    """The least common multiple of the denominators of ``values`` (1 if none)."""
+    scale = 1
+    for x in values:
+        d = x.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return scale
+
+
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators, as integers.
+
+    Row scaling preserves the row space, so RREF is unaffected.
+    """
     out = []
     for row in rows:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                scale = scale * d // gcd(scale, d)
+        scale = denominator_lcm(row)
         if scale == 1:
             out.append([x.numerator for x in row])
         else:
@@ -158,7 +166,7 @@ class Matrix:
         return all(self.entries[i][j] == -self.entries[j][i] for i in range(n) for j in range(i, n))
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return len(pivot_columns(self.entries))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -171,15 +179,24 @@ def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The result has the same shape as the input (zero rows are kept at the
     bottom), leading entries are 1, and pivot columns are otherwise zero.
     """
-    int_rows = _rows_to_int(matrix.entries)
+    int_rows = integer_rows(matrix.entries)
     pivots = _rref_int_rows(int_rows)
     rows = _int_rows_to_rref(int_rows, pivots)
     rows.extend([(Fraction(0),) * matrix.cols] * (matrix.rows - len(rows)))
     return Matrix(rows), tuple(pivots)
 
 
+def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+    """The pivot columns of the reduced row echelon form of ``rows``.
+
+    Column c is a pivot exactly when it is not in the span of the columns
+    before it, so the pivots are the column rank profile.
+    """
+    return tuple(_rref_int_rows(integer_rows(rows)))
+
+
 def _canonical_rows(vectors: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    int_rows = _rows_to_int(vectors)
+    int_rows = integer_rows(vectors)
     pivots = _rref_int_rows(int_rows)
     return tuple(_int_rows_to_rref(int_rows, pivots)), tuple(pivots)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .linalg import Subspace, contains, intersect
+from .linalg import Subspace, contains, integer_rows, intersect, pivot_columns
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -46,6 +46,8 @@ class JumpSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"dimension m={self.m} must be non-negative")
         if any(not 1 <= j <= self.m for j in self.indices):
             raise ValueError(f"jump indices must lie in 1..{self.m}")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -67,19 +69,19 @@ def _flag_steps(flag: Flag) -> list[Subspace]:
 
 
 def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
-    """The jump set of W relative to the flag; its size is codim W."""
+    """The jump set of W relative to the flag; its size is codim W.
+
+    j is a jump exactly when the flag vector p_j is not in W + V_{j-1}, that
+    is, when column p_j is a pivot of the matrix [W^T | P] whose columns are
+    W's basis followed by the flag basis.
+    """
     if w.ambient_dim != flag.dim:
         raise ValueError("subspace and flag dimensions differ")
-    m = flag.dim
-    indices = []
-    below = w
-    for j in range(1, m + 1):
-        # V_{j-1} + W grows one flag vector at a time.
-        if j > 1:
-            below = below + Subspace.from_vectors(m, [flag.column(j - 2)])
-        if not below.contains_vector(flag.column(j - 1)):
-            indices.append(j)
-    return JumpSet(m, tuple(indices))
+    # Scaling a column keeps the pivots, so each column is made integral on
+    # its own; a common scale per row would multiply their denominators.
+    cols = integer_rows(w.basis + flag.basis_matrix.transpose().entries)
+    d = w.dim
+    return JumpSet(flag.dim, tuple(c - d + 1 for c in pivot_columns(list(zip(*cols))) if c >= d))
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,22 @@ class FiltrationTrace:
         return self.chain[-1]
 
 
+def _first_trace_outside(
+    target: Subspace, steps: list[Subspace], p: Subspace, traces: list[Subspace]
+) -> int:
+    """The least i >= 1 with V_i ∩ p not inside ``target``.
+
+    ``traces[i]`` holds V_i ∩ p; the list is extended only as far as the
+    answer needs, so later steps are never intersected.
+    """
+    for i in range(1, len(steps)):
+        if len(traces) == i:
+            traces.append(intersect(steps[i], p))
+        if not contains(target, traces[i]):
+            return i
+    raise RuntimeError("no flag step leaves the target: internal bug")
+
+
 def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     """Run the isotropic filtration for B along the flag.
 
@@ -121,10 +139,10 @@ def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     j_seq: list[int] = []
     while not is_isotropic(b, p):
         perp_p = b_perp(b, p)
-        traces = [intersect(steps[i], p) for i in range(b.dim + 1)]
-        i_next = next(i for i in range(1, b.dim + 1) if not contains(perp_p, traces[i]))
+        traces = [steps[0]]  # V_0 ∩ p = V_0
+        i_next = _first_trace_outside(perp_p, steps, p, traces)
         p_next = intersect(b_perp(b, traces[i_next]), p)
-        j_next = next(j for j in range(1, b.dim + 1) if not contains(p_next, traces[j]))
+        j_next = _first_trace_outside(p_next, steps, p, traces)
         if p_next.dim >= p.dim:
             raise RuntimeError("filtration failed to shrink: internal bug")
         chain.append(p_next)

@@ -125,6 +125,9 @@ def lie_algebra_from_json(obj: Any) -> LieAlgebra:
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError("'brackets' items must be [i, j, coeffs] triples")
         i, j, coeffs = item
+        for index in (i, j):
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise ValueError(f"bracket index {index!r} must be an integer")
         brackets[(i, j)] = _vector_from_json(coeffs, dim)
     labels = obj.get("labels")
     return LieAlgebra(dim, brackets, labels)

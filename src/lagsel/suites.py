@@ -287,6 +287,8 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteRepor
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
     runner, default_trials = _SUITES[name]
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return runner(seed=seed, trials=trials if trials is not None else default_trials)
 
 

@@ -102,6 +102,32 @@ def test_vergne_rejects_wrong_xi_length(capsys):
     assert code == 1
 
 
+def test_vergne_rejects_string_bracket_indices(tmp_path, capsys):
+    algebra = write_json(tmp_path, "alg.json", {"dim": 3, "brackets": [["2", "3", ["1", "0", "0"]]]})
+    code, out, err = run(capsys, "vergne", algebra, "--xi", "1,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bracket index '2'")
+
+
+def test_vergne_accepts_leading_minus_in_xi(capsys):
+    _, glued, _ = run(capsys, "vergne", "g54", "--xi=-1,0,0,0,1", "--json")
+    code, out, _ = run(capsys, "vergne", "g54", "--xi", "-1,0,0,0,1", "--json")
+    assert code == 0
+    assert out == glued
+    assert json.loads(out)["cell"] == [4]
+
+
+def test_leading_minus_in_matrix(capsys):
+    code, out, _ = run(capsys, "builtin", "axb", "--matrix", "-1,2;0,1", "--json")
+    assert code == 0
+    assert json.loads(out)["algebra"]["dim"] == 3
+    code, out, _ = run(capsys, "vergne", "axb", "--matrix", "-1,0;0,1", "--xi", "-1,2,3", "--json")
+    assert code == 0
+    _, glued, _ = run(capsys, "vergne", "axb", "--matrix=-1,0;0,1", "--xi=-1,2,3", "--json")
+    assert out == glued
+
+
 def test_filtration_symplectic_plane(tmp_path, capsys):
     path = write_json(tmp_path, "b2.json", {"dim": 2, "upper": [[1, 2, "1"]]})
     code, out, _ = run(capsys, "filtration", path, "--json")
@@ -139,6 +165,13 @@ def test_cell_rejects_inadmissible(capsys):
     assert "cannot arise" in err
 
 
+def test_cell_rejects_negative_dimension(capsys):
+    code, out, err = run(capsys, "cell", "--m", "-2")
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "projector-sum", "--trials", "10", "--seed", "3", "--json")
     assert code == 0
@@ -150,6 +183,14 @@ def test_verify_small_suite_passes(capsys):
 def test_verify_unknown_suite_rejected(capsys):
     code, _, _ = run(capsys, "verify", "no-such-suite")
     assert code == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "verify", "lagrangian-contract", "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
 def test_verify_output_is_deterministic(capsys):

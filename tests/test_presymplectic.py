@@ -19,6 +19,7 @@ from lagsel.presymplectic import (
     vergne_select,
 )
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
+from lagsel.schubert import jump_indices
 
 
 def g54_form_at_e1():
@@ -232,3 +233,79 @@ def test_flag_steps_nest():
     for j in range(1, 6):
         assert flag.subspace(j).dim == j
         assert flag.subspace(j).contains(flag.subspace(j - 1))
+
+
+def test_restrict_matches_gram_of_flag_columns():
+    rng = Random(19)
+    for _ in range(20):
+        m = rng.randint(1, 6)
+        form = random_skew_form(rng, m)
+        flag = random_flag(rng, m)
+        j = rng.randint(1, m)
+        cols = [flag.column(a) for a in range(j)]
+        expected = [[form.value(u, v) for v in cols] for u in cols]
+        assert restrict(form, flag, j).matrix == Matrix(expected)
+
+
+def per_step_oracle(form, flag):
+    """The per-step definition of the selection and the signature.
+
+    Each flag step's radical is computed from the restriction of the form,
+    embedded into the ambient space and summed.  The restriction to V_j is
+    taken as the leading block of the restriction to V_m, which
+    test_restrict_is_ordering_consistent checks against restrict(form, flag, j).
+    """
+    selection = Subspace.zero(form.dim)
+    dims = []
+    gram = restrict(form, flag, flag.dim)
+    in_flag_coordinates = Flag.standard(flag.dim)
+    for j in range(1, flag.dim + 1):
+        radical = null_space(restrict(gram, in_flag_coordinates, j))
+        selection = selection + flag.embed(j, radical)
+        dims.append(radical.dim)
+    return selection, tuple(dims)
+
+
+def oracle_cases(seed, count, rational_flag):
+    """Seeded (form, flag) pairs, m = 1..10, mixing form and flag kinds."""
+    rng = Random(seed)
+    for n in range(count):
+        m = 1 + n % 10
+        form_kind = (n // 10) % 4
+        if form_kind == 0:
+            form = SkewForm.zero(m)
+        elif form_kind == 1:
+            form = random_skew_form(rng, m, zero_chance=0.0)  # full rank for most even m
+        else:
+            form = random_skew_form(rng, m)
+        flag_kind = (n // 40) % 3
+        if flag_kind == 0:
+            flag = Flag.standard(m)
+        elif flag_kind == 1:
+            flag = rational_flag(rng, m)
+        else:
+            flag = random_flag(rng, m)
+        yield form, flag
+
+
+def test_selection_and_signature_match_per_step_oracle(rational_flag):
+    full_rank = 0
+    for form, flag in oracle_cases(23, 520, rational_flag):
+        selection = vergne_select(form, flag)
+        signature = signature_vector(form, flag).entries
+        assert (selection, signature) == per_step_oracle(form, flag)
+        full_rank += null_space(form).is_zero()
+        # The selection's cell is exactly the set of steps where the radical shrinks.
+        before = (0,) + signature[:-1]
+        down = tuple(j for j, (k, k_before) in enumerate(zip(signature, before), start=1) if k < k_before)
+        assert jump_indices(selection, flag).indices == down
+    assert full_rank >= 50
+
+
+def test_selection_of_full_rank_form_on_rational_flag():
+    # B = e1^e3 + e2^e4 along a flag whose basis has fractional entries.
+    flag = Flag(Matrix([["1/2", 0, 0, 1], [0, "1/3", 1, 0], [0, 0, "-2/5", 0], [1, 0, 0, "3/7"]]))
+    form = symplectic_4d()
+    selection = vergne_select(form, flag)
+    assert (selection, signature_vector(form, flag).entries) == per_step_oracle(form, flag)
+    assert is_lagrangian(form, selection)

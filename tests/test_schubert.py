@@ -6,7 +6,7 @@ import pytest
 
 from lagsel.linalg import Subspace
 from lagsel.presymplectic import Flag, SkewForm, null_space, signature_vector, vergne_select
-from lagsel.sampling import random_flag, random_skew_form
+from lagsel.sampling import random_flag, random_skew_form, random_subspace
 from lagsel.schubert import (
     JumpSet,
     cell_to_signature,
@@ -153,3 +153,34 @@ def test_cell_signature_consistency_on_random_forms():
         form = random_skew_form(rng, m)
         flag = random_flag(rng, m)
         assert cell_to_signature(selection_cell(form, flag)) == signature_vector(form, flag)
+
+
+def per_step_jump_oracle(w, flag):
+    """The definition: j jumps when p_j is outside W + V_{j-1}, grown one vector at a time."""
+    m = flag.dim
+    indices = []
+    below = w
+    for j in range(1, m + 1):
+        if j > 1:
+            below = below + Subspace.from_vectors(m, [flag.column(j - 2)])
+        if not below.contains_vector(flag.column(j - 1)):
+            indices.append(j)
+    return tuple(indices)
+
+
+def test_jump_indices_match_per_step_oracle(rational_flag):
+    rng = Random(29)
+    for n in range(500):
+        m = 1 + n % 10
+        kind = (n // 10) % 3
+        if kind == 0:
+            flag = Flag.standard(m)
+        elif kind == 1:
+            flag = rational_flag(rng, m)
+        else:
+            flag = random_flag(rng, m)
+        if n % 2:
+            w = random_subspace(rng, m)
+        else:
+            w = vergne_select(random_skew_form(rng, m), flag)
+        assert jump_indices(w, flag).indices == per_step_jump_oracle(w, flag)

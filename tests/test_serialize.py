@@ -93,6 +93,14 @@ def test_lie_algebra_rejects_jacobi_violation():
         serialize.lie_algebra_from_json(payload)
 
 
+@pytest.mark.parametrize("i, j", [("1", "2"), (1, "2"), (True, 2), (1.0, 2), (0, 2), (1, 4)])
+def test_lie_algebra_rejects_bad_bracket_indices(i, j):
+    payload = {"dim": 3, "brackets": [[i, j, ["0", "0", "1"]]]}
+    # LieAlgebra itself rejects keys outside 1 <= i < j <= dim.
+    with pytest.raises(ValueError, match="bracket (index|key)"):
+        serialize.lie_algebra_from_json(payload)
+
+
 def test_functional_round_trip():
     xi = serialize.functional_from_json(["1", "-2/3", "0"], 3)
     assert serialize.functional_to_json(xi) == ["1", "-2/3", "0"]
