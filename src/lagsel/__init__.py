@@ -6,7 +6,7 @@ labels, Vergne polarizations of completely solvable Lie algebras, and
 floating-point gap probes that witness where the selection is continuous.
 """
 
-from .linalg import Matrix, Rational, Subspace, contains, intersect, kernel, rref, rref_backend, subspace_sum
+from .linalg import Matrix, Rational, Subspace, contains, intersect, kernel, rref, subspace_sum
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -66,7 +66,6 @@ __all__ = [
     "intersect",
     "kernel",
     "rref",
-    "rref_backend",
     "subspace_sum",
     "Flag",
     "SignatureVector",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from argparse import ArgumentError
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import serialize
 from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polarization
-from .linalg import Matrix, as_rational, rref_backend
+from .linalg import Matrix, as_rational
 from .presymplectic import Flag, signature_vector, vergne_select
 from .schubert import JumpSet, cell_to_signature, filtration, jump_indices, selection_cell
 from .suites import PROBE_PRESETS, preset_samples, run_suite, suite_names
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lagsel",
         description="Exact Lagrangian selections, Vergne polarizations, and Schubert-cell strata",
     )
-    parser.add_argument("--version", action="version", version=f"lagsel 0.1.0 ({rref_backend()} kernel)")
+    parser.add_argument("--version", action="version", version="lagsel 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, handler, help_text):
@@ -333,7 +334,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_INPUT
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OK
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED

@@ -396,7 +396,9 @@ def _axb(matrix: Matrix) -> BuiltinAlgebra:
     return BuiltinAlgebra("axb", algebra, flag, polarization)
 
 
-@lru_cache(maxsize=None)
+# Bounded: axb keys are action matrices, often a fresh one per call, while
+# the named algebras are few and stay in the cache.
+@lru_cache(maxsize=16)
 def builtin(kind: str, matrix: Matrix | None = None) -> BuiltinAlgebra:
     """Look up a builtin algebra: ``g54``, ``g615``, ``heisenberg:n``, ``axb``."""
     if kind == "g54":

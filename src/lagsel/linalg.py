@@ -1,40 +1,95 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (presymplectic forms, filtrations, Lie algebras) is
-built from the four primitives here: reduced row echelon form, kernels,
-subspace sums and intersections.  All arithmetic is exact; subspaces are kept
-in a canonical form (RREF basis) so that set equality is plain ``==`` on the
-representation.
+built from the primitives here: reduced row echelon form, kernels, subspace
+sums and intersections.  All arithmetic is exact.
 
-The row-reduction inner loop runs on integer rows through a kernel selected
-at import time: the compiled ``lagsel._rref`` extension when it was built,
-otherwise the pure-Python twin ``lagsel._rref_py``.
+Inside the library a subspace is a tuple of integer rows: its reduced row
+echelon basis with each row scaled to coprime integers and a positive pivot.
+That form is canonical, so set equality is plain ``==`` on the rows, and the
+primitives run on integers without building a ``Fraction``.  Fractions appear
+only at the boundary: ``Matrix`` entries, ``rref`` and ``Subspace.basis``.
+
+Every elimination goes through one routine, ``_rref_int_rows``: fraction-free
+Gauss-Jordan elimination on integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-try:
-    from ._rref import rref_int_rows as _rref_int_rows
-
-    _RREF_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on whether the ext was built
-    from ._rref_py import rref_int_rows as _rref_int_rows
-
-    _RREF_BACKEND = "python"
 
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 
 
-def rref_backend() -> str:
-    """Name of the active row-reduction kernel: ``"compiled"`` or ``"python"``."""
-    return _RREF_BACKEND
+def _strip_common_factor(row: list[int], ncols: int) -> None:
+    # Divide the row by the gcd of its entries (gcd is never negative).
+    g = 0
+    for j in range(ncols):
+        x = row[j]
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return
+    if g > 1:
+        for j in range(ncols):
+            row[j] //= g
+
+
+def _rref_int_rows(rows: list[list[int]]) -> list[int]:
+    """Reduce a list of integer rows in place; return the pivot columns.
+
+    On return the rows form a normalized Gauss-Jordan shape: every pivot
+    column contains a single nonzero entry (its pivot), each nonzero row is
+    primitive with a positive pivot, rows are ordered by pivot column and
+    zero rows sink to the bottom.  Dividing each row by its pivot entry
+    yields the unique reduced row echelon form of the row space over the
+    rationals.  Keeping the arithmetic on plain integers (stripped by gcd
+    after every update) avoids per-operation rational normalization.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        src = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                src = i
+                break
+        if src < 0:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        prow = rows[r]
+        # Normalize the pivot row first so elimination multipliers stay
+        # positive and earlier pivot rows keep their positive pivots.
+        if prow[c] < 0:
+            for j in range(ncols):
+                prow[j] = -prow[j]
+        _strip_common_factor(prow, ncols)
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            q = row[c]
+            if not q:
+                continue
+            g = gcd(p, q)
+            a = p // g
+            b = q // g
+            for j in range(ncols):
+                row[j] = a * row[j] - b * prow[j]
+            _strip_common_factor(row, ncols)
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def as_rational(value) -> Fraction:
@@ -70,7 +125,9 @@ def denominator_lcm(values: Iterable[Fraction]) -> int:
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Each row scaled by the lcm of its denominators, as integers.
 
-    Row scaling preserves the row space, so RREF is unaffected.
+    Row scaling preserves the row space, so RREF is unaffected.  A reduced
+    row echelon row comes out primitive with a positive pivot: each prime of
+    the lcm divides some denominator, so it misses that entry's numerator.
     """
     out = []
     for row in rows:
@@ -82,11 +139,12 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _int_rows_to_rref(int_rows: list[list[int]], pivots: list[int]) -> list[Vector]:
+def _fraction_rows(int_rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[Vector]:
+    """Reduced row echelon rows: each reduced integer row divided by its pivot."""
     rows = []
-    for r, c in enumerate(pivots):
-        p = int_rows[r][c]
-        rows.append(tuple(Fraction(x, p) for x in int_rows[r]))
+    for row, c in zip(int_rows, pivots):
+        p = row[c]
+        rows.append(tuple(Fraction(x, p) for x in row))
     return rows
 
 
@@ -181,7 +239,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """
     int_rows = integer_rows(matrix.entries)
     pivots = _rref_int_rows(int_rows)
-    rows = _int_rows_to_rref(int_rows, pivots)
+    rows = _fraction_rows(int_rows, pivots)
     rows.extend([(Fraction(0),) * matrix.cols] * (matrix.rows - len(rows)))
     return Matrix(rows), tuple(pivots)
 
@@ -195,75 +253,125 @@ def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     return tuple(_rref_int_rows(integer_rows(rows)))
 
 
-def _canonical_rows(vectors: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    int_rows = integer_rows(vectors)
-    pivots = _rref_int_rows(int_rows)
-    return tuple(_int_rows_to_rref(int_rows, pivots)), tuple(pivots)
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
-    ``basis`` holds the reduced row echelon basis (no zero rows), so two
-    Subspaces are equal as sets exactly when they compare equal as values.
+    ``rows`` holds the reduced row echelon basis (no zero rows) with each row
+    scaled to coprime integers and a positive pivot, and ``pivots`` its pivot
+    columns.  The form is canonical, so two Subspaces are equal as sets
+    exactly when they compare equal as values.  ``basis`` is the same basis
+    as Fraction rows with leading entries 1, built on first read.
+
+    ``Subspace(ambient_dim, basis, pivots)`` takes Fraction RREF rows and
+    checks that they are canonical.
     """
 
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.basis) != len(self.pivots):
+    def __init__(self, ambient_dim: int, basis: Iterable[Iterable], pivots: Iterable[int]):
+        basis = tuple(as_vector(row) for row in basis)
+        pivots = tuple(pivots)
+        if len(basis) != len(pivots):
             raise ValueError("basis/pivot length mismatch")
-        if any(p2 <= p1 for p1, p2 in zip(self.pivots, self.pivots[1:])):
+        if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
             raise ValueError("pivot columns must be strictly increasing")
-        for r, (row, p) in enumerate(zip(self.basis, self.pivots)):
-            if len(row) != self.ambient_dim:
+        for r, (row, p) in enumerate(zip(basis, pivots)):
+            if len(row) != ambient_dim:
                 raise ValueError("basis row has wrong length")
             if row[p] != 1 or any(row[j] for j in range(p)):
                 raise ValueError("basis is not in reduced row echelon form")
-            if any(self.basis[k][p] for k in range(len(self.basis)) if k != r):
+            if any(basis[k][p] for k in range(len(basis)) if k != r):
                 raise ValueError("pivot column is not cleared")
+        rows = tuple(tuple(row) for row in integer_rows(basis))
+        self._set(ambient_dim, rows, pivots, basis)
+
+    def _set(self, ambient_dim, rows, pivots, basis) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "ambient_dim", ambient_dim)
+        setattr_(self, "rows", rows)
+        setattr_(self, "pivots", pivots)
+        setattr_(self, "_basis", basis)
+
+    @classmethod
+    def _from_canonical(cls, ambient_dim: int, rows, pivots) -> Subspace:
+        """Wrap rows already in canonical form (primitive, positive pivots); unchecked."""
+        sub = object.__new__(cls)
+        sub._set(ambient_dim, rows, pivots, None)
+        return sub
+
+    @classmethod
+    def _span(cls, ambient_dim: int, int_rows: list[list[int]]) -> Subspace:
+        """Canonical form of the span of integer rows, reduced in place."""
+        pivots = _rref_int_rows(int_rows)
+        return cls._from_canonical(ambient_dim, tuple(map(tuple, int_rows[: len(pivots)])), tuple(pivots))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Iterable]) -> Subspace:
         """Span of the given vectors, canonicalized."""
-        vecs = [as_vector(v, ambient_dim) for v in vectors]
-        rows, pivots = _canonical_rows(vecs)
-        return cls(ambient_dim, rows, pivots)
+        return cls._span(ambient_dim, integer_rows([as_vector(v, ambient_dim) for v in vectors]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, (), ())
+        return cls._from_canonical(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        eye = Matrix.identity(ambient_dim)
-        return cls(ambient_dim, eye.entries, tuple(range(ambient_dim)))
+        rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return cls._from_canonical(ambient_dim, rows, tuple(range(ambient_dim)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Subspace is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.rows))
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis}, pivots={self.pivots})"
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced row echelon basis as Fraction rows."""
+        basis = self._basis
+        if basis is None:
+            basis = tuple(_fraction_rows(self.rows, self.pivots))
+            object.__setattr__(self, "_basis", basis)
+        return basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self) -> int:
-        return self.ambient_dim - len(self.basis)
+        return self.ambient_dim - len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self.rows) == self.ambient_dim
 
     def contains_vector(self, vec: Sequence) -> bool:
         """True iff ``vec`` reduces to zero against the canonical basis."""
-        v = list(as_vector(vec, self.ambient_dim))
-        for row, p in zip(self.basis, self.pivots):
+        return self._reduces_to_zero(integer_rows([as_vector(vec, self.ambient_dim)])[0])
+
+    def _reduces_to_zero(self, v: Sequence[int]) -> bool:
+        # Fraction-free: v <- a v - c row clears v's entry at the pivot a of
+        # row, and later rows are zero in earlier pivot columns.
+        for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                for j in range(p, self.ambient_dim):
-                    v[j] -= c * row[j]
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
         return not any(v)
 
     def contains(self, other: Subspace) -> bool:
@@ -289,45 +397,81 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
         )
 
 
-def kernel(matrix: Matrix) -> Subspace:
-    """The solution space ``{x : Mx = 0}`` in canonical form."""
-    reduced, pivots = rref(matrix)
-    n = matrix.cols
+def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
+    """The solution space ``{x : Mx = 0}`` in canonical form.
+
+    ``matrix`` is a Matrix or a nonempty list of integer rows.  With M
+    reduced, each free column f gives the generator with L at f and
+    ``-M[r][f] * L / M[r][p_r]`` at each pivot p_r, where L is the lcm of the
+    pivot entries; one more elimination makes the generators canonical.
+    """
+    if isinstance(matrix, Matrix):
+        ncols, rows = matrix.cols, integer_rows(matrix.entries)
+    else:
+        ncols, rows = len(matrix[0]), [list(row) for row in matrix]
+    pivots = _rref_int_rows(rows)
+    if not pivots:
+        return Subspace.full(ncols)
+    if len(pivots) == ncols:
+        return Subspace.zero(ncols)
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    factors = [(p, row, scale // row[p]) for row, p in zip(rows, pivots)]
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     gens = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for p, row, k in factors:
+            v[p] = -row[f] * k
         gens.append(v)
-    return Subspace.from_vectors(n, gens)
+    return Subspace._span(ncols, gens)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    """Canonical form of ``S1 + S2``."""
+    """Canonical form of ``S1 + S2``: one elimination of the stacked rows."""
     _check_same_ambient(s1, s2)
-    return Subspace.from_vectors(s1.ambient_dim, s1.basis + s2.basis)
+    if not s1.rows or s2.is_full():
+        return s2
+    if not s2.rows or s1.is_full():
+        return s1
+    return Subspace._span(s1.ambient_dim, [list(row) for row in s1.rows + s2.rows])
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Canonical form of ``S1 ∩ S2`` via kernels of the stacked annihilators.
+    """Canonical form of ``S1 ∩ S2`` by Zassenhaus' algorithm.
 
-    Over Q with the standard pairing, x lies in the row space S exactly when
-    x is orthogonal to ker(basis matrix of S), so the intersection is the
-    kernel of the matrix whose rows generate both annihilators.
+    The row space of ``[[A, A], [B, 0]]``, for basis rows A of S1 and B of
+    S2, holds ``(a + b, a)``; its vectors with left half zero are exactly
+    ``(0, a)`` with ``a = -b`` in both.  After one elimination the rows whose
+    pivot lies in the right half are zero on the left, so their right halves
+    are already the canonical rows of the intersection.
     """
     _check_same_ambient(s1, s2)
-    ann1 = kernel(s1.basis_matrix() if s1.basis else Matrix.zero(1, s1.ambient_dim))
-    ann2 = kernel(s2.basis_matrix() if s2.basis else Matrix.zero(1, s2.ambient_dim))
-    return kernel(Matrix(ann1.basis + ann2.basis)) if (ann1.basis or ann2.basis) else Subspace.full(s1.ambient_dim)
+    if not s1.rows or s2.is_full() or s1 == s2:
+        return s1
+    if not s2.rows or s1.is_full():
+        return s2
+    m = s1.ambient_dim
+    pad = (0,) * m
+    rows = [list(a + a) for a in s1.rows] + [list(b + pad) for b in s2.rows]
+    pivots = _rref_int_rows(rows)
+    rows_out = []
+    pivots_out = []
+    for row, c in zip(rows, pivots):
+        if c >= m:
+            rows_out.append(tuple(row[m:]))
+            pivots_out.append(c - m)
+    return Subspace._from_canonical(m, tuple(rows_out), tuple(pivots_out))
 
 
 def contains(s1: Subspace, s2: Subspace) -> bool:
     """True iff ``S2 ⊆ S1``."""
     _check_same_ambient(s1, s2)
-    return all(s1.contains_vector(row) for row in s2.basis)
+    if s2.dim >= s1.dim:
+        return s2.dim == s1.dim and s1.rows == s2.rows
+    return s1.is_full() or all(s1._reduces_to_zero(row) for row in s2.rows)
 
 
 def solve(a: Matrix, rhs: Matrix) -> Matrix:

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linalg import Matrix, Subspace, Vector, as_rational, denominator_lcm, dot, integer_rows, kernel
 
@@ -51,6 +52,17 @@ class SkewForm:
     @property
     def dim(self) -> int:
         return self.matrix.rows
+
+    @cached_property
+    def integer_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The Gram matrix scaled by the lcm of its denominators, in integers.
+
+        A positive scaling changes no orthogonal complement, null space or
+        isotropy, so the integer primitives all read this matrix.
+        """
+        entries = self.matrix.entries
+        scale = denominator_lcm(x for row in entries for x in row)
+        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries)
 
     @classmethod
     def zero(cls, dim: int) -> SkewForm:
@@ -120,8 +132,7 @@ class Flag:
         if not 0 <= j <= self.dim:
             raise ValueError(f"flag step {j} out of range")
         if self._standard:
-            rows = tuple(Matrix.identity(self.dim).entries[:j])
-            return Subspace(self.dim, rows, tuple(range(j)))
+            return Subspace._from_canonical(self.dim, Subspace.full(self.dim).rows[:j], tuple(range(j)))
         return Subspace.from_vectors(self.dim, [self.column(a) for a in range(j)])
 
     def embed(self, j: int, sub: Subspace) -> Subspace:
@@ -130,8 +141,8 @@ class Flag:
             raise ValueError("coordinate dimension does not match flag step")
         if self._standard:
             # Zero-padding preserves the canonical form.
-            pad = (Fraction(0),) * (self.dim - j)
-            return Subspace(self.dim, tuple(row + pad for row in sub.basis), sub.pivots)
+            pad = (0,) * (self.dim - j)
+            return Subspace._from_canonical(self.dim, tuple(row + pad for row in sub.rows), sub.pivots)
         cols = [self.column(a) for a in range(j)]
         vectors = []
         for row in sub.basis:
@@ -174,17 +185,21 @@ def _dims_match(b: SkewForm, s: Subspace) -> None:
         raise ValueError(f"dimension mismatch: form on Q^{b.dim}, subspace in Q^{s.ambient_dim}")
 
 
+def _images(b: SkewForm, s: Subspace) -> list[list[int]]:
+    """The rows G v for the integer basis rows v of S, G = ``b.integer_matrix``."""
+    return [[sum(map(mul, g, v)) for g in b.integer_matrix] for v in s.rows]
+
+
 def b_perp(b: SkewForm, s: Subspace) -> Subspace:
     """The B-orthogonal complement {w : B(v, w) = 0 for all v in S}.
 
-    Computed as the kernel of the matrix whose rows are (basis row of S)·B.
+    Computed as the kernel of the integer rows G v, v in S's basis: by skew
+    symmetry B(v, w) = -(G v)·w up to the positive scale of G.
     """
     _dims_match(b, s)
     if s.is_zero():
         return Subspace.full(b.dim)
-    cols = [b.matrix.column(j) for j in range(b.dim)]
-    rows = [tuple(dot(v, col) for col in cols) for v in s.basis]
-    return kernel(Matrix(rows))
+    return kernel(_images(b, s))
 
 
 def null_space(b: SkewForm) -> Subspace:
@@ -205,7 +220,7 @@ def restrict(b: SkewForm, flag: Flag, j: int) -> SkewForm:
     return SkewForm(Matrix([[dot(cols[a], images[c]) for c in range(j)] for a in range(j)]))
 
 
-def _integer_gram(b: SkewForm, flag: Flag) -> tuple[list[list[int]], list[list[int]] | None]:
+def _integer_gram(b: SkewForm, flag: Flag) -> tuple[Sequence[Sequence[int]], list[list[int]] | None]:
     """The Gram matrix P^T B P of the flag basis, in integers, and P's columns.
 
     B is scaled by the lcm of its denominators and each flag column by the
@@ -214,9 +229,7 @@ def _integer_gram(b: SkewForm, flag: Flag) -> tuple[list[list[int]], list[list[i
     """
     if b.dim != flag.dim:
         raise ValueError("form and flag dimensions differ")
-    entries = b.matrix.entries
-    scale = denominator_lcm(x for row in entries for x in row)
-    gram = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    gram = b.integer_matrix
     if flag.is_standard():
         return gram, None
     cols = integer_rows(flag.basis_matrix.transpose().entries)
@@ -229,7 +242,7 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _sweep(gram: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Symplectic Gram-Schmidt along the flag basis of a Gram matrix.
 
     Returns the up-step vectors in flag coordinates and the radical
@@ -248,7 +261,7 @@ def _sweep(gram: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     ups: list[list[int]] = []
     dims: list[int] = []
     for j in range(m):
-        w = [0] * m + gram[j]
+        w = [0] * m + list(gram[j])
         w[j] = 1
         for u, v, omega in pairs:
             wu, wv = form(w, u), form(w, v)
@@ -302,10 +315,11 @@ def signature_vector(b: SkewForm, flag: Flag | None = None) -> SignatureVector:
 def is_isotropic(b: SkewForm, w: Subspace) -> bool:
     """True iff the form vanishes identically on W."""
     _dims_match(b, w)
-    images = [b.matrix.apply(v) for v in w.basis]
-    n = len(w.basis)
+    rows = w.rows
+    images = _images(b, w)
+    n = len(rows)
     # B(v, v) = 0 automatically for skew forms, so only distinct pairs matter.
-    return all(not dot(w.basis[a], images[c]) for a in range(n) for c in range(a + 1, n))
+    return all(not sum(map(mul, rows[a], images[c])) for a in range(n) for c in range(a + 1, n))
 
 
 def is_lagrangian(b: SkewForm, w: Subspace) -> bool:

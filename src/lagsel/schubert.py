@@ -79,7 +79,7 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
         raise ValueError("subspace and flag dimensions differ")
     # Scaling a column keeps the pivots, so each column is made integral on
     # its own; a common scale per row would multiply their denominators.
-    cols = integer_rows(w.basis + flag.basis_matrix.transpose().entries)
+    cols = integer_rows(w.rows + flag.basis_matrix.transpose().entries)
     d = w.dim
     return JumpSet(flag.dim, tuple(c - d + 1 for c in pivot_columns(list(zip(*cols))) if c >= d))
 
@@ -253,6 +253,8 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)
+    # The relative radical b_perp(p) ∩ p of each chain member, once per member.
+    radicals = [intersect(b_perp(b, p), p) for p in trace.chain] if d else []
 
     for k in range(d):
         p_k, p_k1 = trace.chain[k], trace.chain[k + 1]
@@ -279,14 +281,7 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
             contains(b_perp(b, vi_trace), p_k1),
             f"i_k={i_k} [{ctx}]",
         )
-        check(
-            f"step-{k}: relative radical monotone",
-            contains(
-                intersect(b_perp(b, p_k1), p_k1),
-                intersect(b_perp(b, p_k), p_k),
-            ),
-            ctx,
-        )
+        check(f"step-{k}: relative radical monotone", contains(radicals[k + 1], radicals[k]), ctx)
 
     check(
         "chain ends at the flag selection",

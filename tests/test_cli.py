@@ -1,6 +1,10 @@
 """CLI subcommands, exit-code contract, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +253,22 @@ def test_unknown_subcommand_is_invalid_input(capsys):
 def test_missing_subcommand_is_invalid_input(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The reader closes its end before the CLI writes, as `| head` can.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagsel.cli", "builtin", "g54", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

@@ -189,6 +189,14 @@ def test_builtin_unknown_kind():
         builtin("so3")
 
 
+def test_builtin_cache_stays_bounded():
+    # Every axb action matrix is a new cache key.
+    for k in range(100):
+        builtin("axb", Matrix([[k + 1]]))
+    info = builtin.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_casimir_values():
     assert casimir_value("g54", Functional.of([1, 0, 0, 0, 1])) == 2
     assert casimir_value("g54", Functional.of([0, 0, 0, 0, 0])) == 0

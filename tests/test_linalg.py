@@ -207,6 +207,12 @@ def test_subspace_rejects_non_canonical_basis():
         Subspace(2, ((Fraction(1), Fraction(0)),), (1,))
 
 
+def test_subspace_is_immutable():
+    sub = Subspace.from_vectors(2, [[1, 2]])
+    with pytest.raises(AttributeError):
+        sub.basis = ()
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
