@@ -20,7 +20,6 @@ from .presymplectic import (
     vergne_select,
 )
 from .schubert import (
-    CellSignatureBridge,
     FiltrationTrace,
     JumpSet,
     cell_to_signature,
@@ -39,7 +38,6 @@ from .lie import (
     casimir_value,
     coadjoint_form,
     isotropy_subalgebra,
-    load_algebra,
     orbit_point,
     stratum,
     vergne_polarization,
@@ -77,7 +75,6 @@ __all__ = [
     "restrict",
     "signature_vector",
     "vergne_select",
-    "CellSignatureBridge",
     "FiltrationTrace",
     "JumpSet",
     "cell_to_signature",
@@ -94,7 +91,6 @@ __all__ = [
     "casimir_value",
     "coadjoint_form",
     "isotropy_subalgebra",
-    "load_algebra",
     "orbit_point",
     "stratum",
     "vergne_polarization",

@@ -27,6 +27,10 @@ from .suites import PROBE_PRESETS, preset_samples, run_suite, suite_names
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 1, 2
 
+# What a subcommand handler returns: exit code, JSON payload and text lines.
+# ``main`` prints the result once, so a closed stdout cannot lose the code.
+Outcome = tuple[int, dict, list[str]]
+
 
 class CheckFailure(Exception):
     """A theorem-backed check failed (exit code 2)."""
@@ -40,6 +44,8 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply in {path}") from exc
 
 
 def _load_flag(args, dim: int) -> Flag:
@@ -87,7 +93,7 @@ def _subspace_lines(label: str, sub) -> list[str]:
     return lines
 
 
-def cmd_polarize(args) -> int:
+def cmd_polarize(args) -> Outcome:
     form = serialize.skew_form_from_json(_load_json(args.form))
     flag = _load_flag(args, form.dim)
     selection = vergne_select(form, flag)
@@ -101,11 +107,10 @@ def cmd_polarize(args) -> int:
     lines = _subspace_lines("selection", selection)
     lines.append(f"cell: {set(cell.indices) or '{}'}")
     lines.append(f"signature: {sig.entries}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_vergne(args) -> int:
+def cmd_vergne(args) -> Outcome:
     algebra, _ = _load_algebra_arg(args)
     xi = Functional.of(_parse_rationals(args.xi))
     if xi.m != algebra.dim:
@@ -128,11 +133,10 @@ def cmd_vergne(args) -> int:
     lines += _subspace_lines("isotropy subalgebra", iso)
     lines.append(f"stratum: {sig.entries}")
     lines.append(f"cell: {set(cell.indices) or '{}'}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_filtration(args) -> int:
+def cmd_filtration(args) -> Outcome:
     form = serialize.skew_form_from_json(_load_json(args.form))
     flag = _load_flag(args, form.dim)
     trace = filtration(form, flag)
@@ -140,56 +144,51 @@ def cmd_filtration(args) -> int:
     lines = [f"steps: {trace.d}", f"i_seq: {list(trace.i_seq)}", f"j_seq: {list(trace.j_seq)}"]
     for k, sub in enumerate(trace.chain):
         lines += _subspace_lines(f"p^{k}", sub)
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_jump(args) -> int:
+def cmd_jump(args) -> Outcome:
     sub = serialize.subspace_from_json(_load_json(args.subspace))
     flag = _load_flag(args, sub.ambient_dim)
     e = jump_indices(sub, flag)
-    _emit(
-        args,
+    return (
+        OK,
         {"jump": serialize.jump_set_to_json(e), "codim": len(e)},
         [f"jump: {set(e.indices) or '{}'}", f"codim: {len(e)}"],
     )
-    return OK
 
 
-def cmd_stratum(args) -> int:
+def cmd_stratum(args) -> Outcome:
     algebra, _ = _load_algebra_arg(args)
     xi = Functional.of(_parse_rationals(args.xi))
     flag = _load_flag(args, algebra.dim)
     sig = stratum(algebra, flag, xi)
-    _emit(args, {"stratum": serialize.signature_to_json(sig)}, [f"stratum: {sig.entries}"])
-    return OK
+    return OK, {"stratum": serialize.signature_to_json(sig)}, [f"stratum: {sig.entries}"]
 
 
-def cmd_cell(args) -> int:
+def cmd_cell(args) -> Outcome:
     try:
         indices = tuple(int(part) for part in args.jumps.split(",")) if args.jumps.strip() else ()
     except ValueError as exc:
         raise ValueError(f"jump indices must be integers: {exc}") from exc
     e = JumpSet(args.m, indices)
     sig = cell_to_signature(e)
-    _emit(
-        args,
+    return (
+        OK,
         {"cell": serialize.jump_set_to_json(e), "signature": serialize.signature_to_json(sig)},
         [f"cell: {set(e.indices) or '{}'}", f"signature: {sig.entries}"],
     )
-    return OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Outcome:
     report = run_suite(args.suite, seed=args.seed, trials=args.trials)
     payload = report.to_json()
     lines = [report.summary()]
     lines += [f"  {f}" for f in report.failures[:20]]
-    _emit(args, payload, lines)
-    return OK if report.ok else CHECK_FAILED
+    return (OK if report.ok else CHECK_FAILED), payload, lines
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> Outcome:
     from .probe import functional_path_probe
 
     if args.preset:
@@ -217,7 +216,10 @@ def cmd_probe(args) -> int:
         base = serialize.vector_from_json(spec.get("base"), algebra.dim)
         direction = serialize.vector_from_json(spec.get("direction"), algebra.dim)
         t_star = serialize.rational_from_obj(spec.get("t_star", 0))
-        samples = [serialize.rational_from_obj(t) for t in spec.get("samples", [])]
+        samples = spec.get("samples", [])
+        if not isinstance(samples, list):
+            raise ValueError("'samples' must be a list")
+        samples = [serialize.rational_from_obj(t) for t in samples]
         if not samples:
             raise ValueError("probe spec lists no samples")
     report = functional_path_probe(algebra, flag, base, direction, samples, t_star)
@@ -228,11 +230,10 @@ def cmd_probe(args) -> int:
             f"  t={serialize.rational_to_str(s.t)}: gap={s.gap:.9f} "
             f"stratum={s.stratum.entries} cell={set(s.cell.indices) or '{}'}"
         )
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_builtin(args) -> int:
+def cmd_builtin(args) -> Outcome:
     matrix = _parse_matrix(args.matrix) if args.matrix else None
     built = builtin(args.kind, matrix)
     payload = {
@@ -248,8 +249,7 @@ def cmd_builtin(args) -> int:
             if c
         )
         lines.append(f"  [{built.algebra.labels[i - 1]}, {built.algebra.labels[j - 1]}] = {terms}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,22 +334,24 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_INPUT
     try:
-        code = args.handler(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader went away (``| head``).  Point stdout at devnull so the
-        # flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return OK
+        code, payload, lines = args.handler(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_INPUT
+    try:
+        _emit(args, payload, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``); the exit code is still the
+        # handler's.  Point stdout at devnull so the flush at interpreter
+        # exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

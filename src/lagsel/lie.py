@@ -1,7 +1,8 @@
 """Lie algebras from structure constants and their Vergne polarizations.
 
-A Lie algebra is given by the brackets of its basis vectors; antisymmetry is
-materialized and the Jacobi identity is validated exactly at construction.
+A Lie algebra is given by the brackets of its basis vectors and stored as its
+integer structure constants; antisymmetry holds by construction and the
+Jacobi identity is validated exactly, on integers, at construction.
 Each linear functional xi induces the coadjoint form B_xi(x, y) = <xi, [x, y]>;
 its radical is the isotropy subalgebra of xi, and running the flag selection
 of ``presymplectic`` along a Jordan-Hölder flag (a complete flag of ideals)
@@ -20,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Subspace, Vector, as_rational, as_vector, dot
-from .presymplectic import Flag, SignatureVector, SkewForm, null_space, signature_vector, vergne_select
+from .linalg import Matrix, Subspace, Vector, as_rational, as_vector, check_dim, denominator_lcm, dot, integer_rows
+from .presymplectic import Flag, SignatureVector, SkewForm, is_isotropic, null_space, signature_vector, vergne_select
 
 
 class JacobiError(ValueError):
@@ -58,11 +60,15 @@ class Functional:
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q with a fixed basis.
 
-    ``table[i][j]`` holds [X_{i+1}, X_{j+1}] as a coefficient vector; the
-    table is antisymmetric by construction and Jacobi-validated exactly.
+    It is stored once, as its structure constants scaled to integers by the
+    lcm of their denominators: ``_constants[a]`` lists the pairs
+    (b, scale * [X_{a+1}, X_{b+1}]) with a nonzero bracket, both orders of
+    each pair.  A positive scale changes no span, containment or vanishing,
+    so every check runs on integers through ``_bracket``.  ``table[i][j]``,
+    [X_{i+1}, X_{j+1}] as a Fraction vector, is built on first read.
     """
 
-    __slots__ = ("dim", "table", "labels")
+    __slots__ = ("dim", "labels", "_scale", "_constants", "_table")
 
     def __init__(
         self,
@@ -73,99 +79,101 @@ class LieAlgebra:
         """Build the algebra from brackets [X_i, X_j] for 1 <= i < j <= dim."""
         if dim < 1:
             raise ValueError("algebra dimension must be positive")
-        zero = (Fraction(0),) * dim
-        table = [[zero] * dim for _ in range(dim)]
+        check_dim(dim)
+        vectors = {}
         for (i, j), coeffs in brackets.items():
             if not 1 <= i < j <= dim:
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-            vec = as_vector(coeffs, dim)
-            table[i - 1][j - 1] = vec
-            table[j - 1][i - 1] = tuple(-c for c in vec)
-        self.dim = dim
-        self.table = tuple(tuple(row) for row in table)
+            vectors[i - 1, j - 1] = as_vector(coeffs, dim)
         if labels is not None and len(labels) != dim:
             raise ValueError("wrong number of basis labels")
+        self._scale = denominator_lcm(x for vec in vectors.values() for x in vec)
+        constants = [[] for _ in range(dim)]
+        for (a, b), vec in vectors.items():
+            if any(vec):
+                ints = tuple(x.numerator * (self._scale // x.denominator) for x in vec)
+                constants[a].append((b, ints))
+                constants[b].append((a, tuple(-c for c in ints)))
+        self.dim = dim
         self.labels = tuple(labels) if labels else tuple(f"X{i}" for i in range(1, dim + 1))
+        self._constants = tuple(map(tuple, constants))
+        self._table = None
         self._validate_jacobi()
+
+    def _bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """``scale * [x, y]`` for integer coefficient vectors x and y."""
+        acc = [0] * self.dim
+        for a, xa in enumerate(x):
+            if xa:
+                for b, vec in self._constants[a]:
+                    c = xa * y[b]
+                    if c:
+                        acc = [s + c * v for s, v in zip(acc, vec)]
+        return acc
 
     def _validate_jacobi(self) -> None:
         n = self.dim
+        pairs = {(a, b): vec for a, entries in enumerate(self._constants) for b, vec in entries}
+        unit = Subspace.full(n).rows
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [Fraction(0)] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.table[b][c]
-                        term = self.bracket_with_basis(a, inner)
-                        for t in range(n):
-                            acc[t] += term[t]
-                    if any(acc):
+                    cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                    terms = [self._bracket(unit[a], pairs[b, c]) for a, b, c in cyclic if (b, c) in pairs]
+                    if any(map(sum, zip(*terms))):
                         raise JacobiError(
                             f"Jacobi identity fails on basis triple "
                             f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
 
-    def bracket_with_basis(self, a: int, vec: Sequence[Fraction]) -> Vector:
-        """[X_{a+1}, v] for a coefficient vector v (0-based basis index)."""
-        acc = [Fraction(0)] * self.dim
-        for b, coeff in enumerate(vec):
-            if coeff:
-                tab = self.table[a][b]
-                for t in range(self.dim):
-                    acc[t] += coeff * tab[t]
-        return tuple(acc)
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """``table[i][j]`` is [X_{i+1}, X_{j+1}] as a Fraction vector."""
+        if self._table is None:
+            rows = [[(Fraction(0),) * self.dim] * self.dim for _ in range(self.dim)]
+            for row, entries in zip(rows, self._constants):
+                for b, vec in entries:
+                    row[b] = tuple(Fraction(v, self._scale) for v in vec)
+            self._table = tuple(map(tuple, rows))
+        return self._table
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """Bilinear extension of the structure table."""
-        xv = as_vector(x, self.dim)
-        yv = as_vector(y, self.dim)
-        acc = [Fraction(0)] * self.dim
-        for a, ca in enumerate(xv):
-            if ca:
-                part = self.bracket_with_basis(a, yv)
-                for t in range(self.dim):
-                    acc[t] += ca * part[t]
-        return tuple(acc)
+        """Bilinear extension of the structure constants."""
+        xv, yv = as_vector(x, self.dim), as_vector(y, self.dim)
+        scale = denominator_lcm(xv) * denominator_lcm(yv) * self._scale
+        return tuple(Fraction(v, scale) for v in self._bracket(*integer_rows([xv, yv])))
 
     def is_subalgebra(self, sub: Subspace) -> bool:
         """True iff the subspace is closed under the bracket."""
-        rows = sub.basis
+        rows = self._rows_of(sub)
         return all(
-            sub.contains_vector(self.bracket(rows[a], rows[b]))
+            sub._reduces_to_zero(self._bracket(rows[a], rows[b]))
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         )
 
     def is_ideal(self, sub: Subspace) -> bool:
-        basis = Matrix.identity(self.dim).entries
+        """True iff [X_i, v] lies in the subspace for every basis vector X_i and v in it."""
+        rows = self._rows_of(sub)
         return all(
-            sub.contains_vector(self.bracket(x, v))
-            for x in basis
-            for v in sub.basis
+            sub._reduces_to_zero(self._bracket(e, v)) for e in Subspace.full(self.dim).rows for v in rows
         )
+
+    def _rows_of(self, sub: Subspace) -> tuple[tuple[int, ...], ...]:
+        if sub.ambient_dim != self.dim:
+            raise ValueError(f"subspace of Q^{sub.ambient_dim} in an algebra of dimension {self.dim}")
+        return sub.rows
 
     def derived_algebra(self) -> Subspace:
         """[g, g], spanned by all basis brackets."""
-        gens = [self.table[i][j] for i in range(self.dim) for j in range(i + 1, self.dim)]
-        return Subspace.from_vectors(self.dim, gens)
+        gens = [list(vec) for a, entries in enumerate(self._constants) for b, vec in entries if a < b]
+        return Subspace._span(self.dim, gens)
 
     def sparse_brackets(self) -> list[tuple[int, int, Vector]]:
         """The nonzero brackets [X_i, X_j], i < j, 1-based (for serialization)."""
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if any(self.table[i][j]):
-                    out.append((i + 1, j + 1, self.table[i][j]))
-        return out
-
-
-def load_algebra(
-    dim: int,
-    brackets: Mapping[tuple[int, int], Iterable],
-    labels: Sequence[str] | None = None,
-) -> LieAlgebra:
-    """Validated construction from sparse brackets (raises JacobiError)."""
-    return LieAlgebra(dim, brackets, labels)
+        table = self.table
+        pairs = sorted((a, b) for a, entries in enumerate(self._constants) for b, _ in entries if a < b)
+        return [(a + 1, b + 1, table[a][b]) for a, b in pairs]
 
 
 @lru_cache(maxsize=512)
@@ -184,14 +192,13 @@ def coadjoint_form(algebra: LieAlgebra, xi: Functional) -> SkewForm:
     """The skew form B(x, y) = <xi, [x, y]> in the algebra basis."""
     if xi.m != algebra.dim:
         raise ValueError("functional and algebra dimensions differ")
-    n = algebra.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = dot(xi.coeffs, algebra.table[i][j])
-            rows[i][j] = v
-            rows[j][i] = -v
-    return SkewForm(Matrix(rows))
+    xs = integer_rows([xi.coeffs])[0]
+    scale = denominator_lcm(xi.coeffs) * algebra._scale
+    rows = [[0] * algebra.dim for _ in range(algebra.dim)]
+    for row, entries in zip(rows, algebra._constants):
+        for b, vec in entries:
+            row[b] = sum(map(mul, xs, vec))
+    return SkewForm(Matrix([[Fraction(v, scale) for v in row] for row in rows]))
 
 
 def isotropy_subalgebra(algebra: LieAlgebra, xi: Functional) -> Subspace:
@@ -211,13 +218,13 @@ def vergne_polarization(algebra: LieAlgebra, flag: Flag, xi: Functional) -> Subs
     """
     if not verify_jordan_holder(algebra, flag):
         raise ValueError("flag is not a Jordan-Hölder sequence for this algebra")
-    pol = vergne_select(coadjoint_form(algebra, xi), flag)
+    form = coadjoint_form(algebra, xi)
+    pol = vergne_select(form, flag)
     if not algebra.is_subalgebra(pol):
         raise RuntimeError("polarization is not a subalgebra: internal bug")
-    for a in range(pol.dim):
-        for b in range(a + 1, pol.dim):
-            if xi(algebra.bracket(pol.basis[a], pol.basis[b])):
-                raise RuntimeError("polarization is not subordinate: internal bug")
+    # B_xi is xi∘[·,·], so <xi, [p, p]> = 0 is the isotropy of p under B_xi.
+    if not is_isotropic(form, pol):
+        raise RuntimeError("polarization is not subordinate: internal bug")
     return pol
 
 
@@ -254,17 +261,9 @@ class BuiltinAlgebra:
         return self.algebra.dim
 
 
-def _basis_span(m: int, indices: Sequence[int]) -> Subspace:
-    """Span of standard basis vectors (1-based indices)."""
-    return Subspace.from_vectors(
-        m, [[1 if t == i - 1 else 0 for t in range(m)] for i in indices]
-    )
-
-
-def _span_with_vector(m: int, indices: Sequence[int], extra: Sequence[Fraction]) -> Subspace:
-    rows = [[Fraction(1) if t == i - 1 else Fraction(0) for t in range(m)] for i in indices]
-    rows.append(list(extra))
-    return Subspace.from_vectors(m, rows)
+def _basis_span(m: int, indices: Sequence[int], *extra: Sequence[Fraction]) -> Subspace:
+    """Span of standard basis vectors (1-based indices) and the ``extra`` vectors."""
+    return Subspace.from_vectors(m, [[int(t == i - 1) for t in range(m)] for i in indices] + list(extra))
 
 
 def _g54() -> BuiltinAlgebra:
@@ -281,7 +280,7 @@ def _g54() -> BuiltinAlgebra:
     def polarization(xi: Functional) -> Subspace:
         x1, x2, x3 = (xi.component(j) for j in (1, 2, 3))
         if x1:
-            return _span_with_vector(5, (1, 2, 3), (0, 0, 0, -x2, x1))
+            return _basis_span(5, (1, 2, 3), (0, 0, 0, -x2, x1))
         if x2 or x3:
             return _basis_span(5, (1, 2, 3, 4))
         # Functional kills the derived algebra: the coadjoint form vanishes
@@ -291,7 +290,7 @@ def _g54() -> BuiltinAlgebra:
     def isotropy(xi: Functional) -> Subspace:
         x1, x2, x3 = (xi.component(j) for j in (1, 2, 3))
         if x1 or x2 or x3:
-            return _span_with_vector(5, (1, 2), (0, 0, x3, -x2, x1))
+            return _basis_span(5, (1, 2), (0, 0, x3, -x2, x1))
         return Subspace.full(5)
 
     def stratum_of(xi: Functional) -> SignatureVector:
@@ -321,7 +320,7 @@ def _g615() -> BuiltinAlgebra:
     def polarization(xi: Functional) -> Subspace:
         x1, x2, x3 = (xi.component(j) for j in (1, 2, 3))
         if x2:
-            return _span_with_vector(6, (1, 2, 3, 4), (0, 0, 0, 0, -x1, x2))
+            return _basis_span(6, (1, 2, 3, 4), (0, 0, 0, 0, -x1, x2))
         if x1 or x3:
             return _basis_span(6, (1, 2, 3, 4, 5))
         return Subspace.full(6)
@@ -329,7 +328,7 @@ def _g615() -> BuiltinAlgebra:
     def isotropy(xi: Functional) -> Subspace:
         x1, x2, x3 = (xi.component(j) for j in (1, 2, 3))
         if x1 or x2 or x3:
-            return _span_with_vector(6, (1, 2, 3), (0, 0, 0, x3, -x1, x2))
+            return _basis_span(6, (1, 2, 3), (0, 0, 0, x3, -x1, x2))
         return Subspace.full(6)
 
     def stratum_of(xi: Functional) -> SignatureVector:
@@ -349,6 +348,7 @@ def _heisenberg(n: int) -> BuiltinAlgebra:
     if n < 1:
         raise ValueError("heisenberg parameter must be >= 1")
     m = 2 * n + 1
+    check_dim(m)
     brackets = {(1 + i, n + 1 + i): [1 if t == 0 else 0 for t in range(m)] for i in range(1, n + 1)}
     algebra = LieAlgebra(m, brackets)
 

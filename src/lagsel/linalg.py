@@ -7,11 +7,15 @@ sums and intersections.  All arithmetic is exact.
 Inside the library a subspace is a tuple of integer rows: its reduced row
 echelon basis with each row scaled to coprime integers and a positive pivot.
 That form is canonical, so set equality is plain ``==`` on the rows, and the
-primitives run on integers without building a ``Fraction``.  Fractions appear
-only at the boundary: ``Matrix`` entries, ``rref`` and ``Subspace.basis``.
+primitives run on integers without building a ``Fraction``.  Skew forms
+(``SkewForm.integer_matrix``) and Lie algebras (integer structure constants)
+follow the same rule, scaled by the lcm of their denominators.  Fractions
+appear only at the boundary: ``Matrix`` entries, ``rref``,
+``Subspace.basis`` and ``LieAlgebra.table``.
 
 Every elimination goes through one routine, ``_rref_int_rows``: fraction-free
-Gauss-Jordan elimination on integer rows.
+Gauss-Jordan elimination on integer rows.  Dimensions are capped at
+``MAX_DIM``, checked before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -24,6 +28,17 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
+
+# Largest dimension accepted for an algebra, form, flag, subspace or jump
+# set: every object is dense in its dimension, so a larger one read from
+# input could exhaust memory before any check runs.
+MAX_DIM = 64
+
+
+def check_dim(dim: int) -> None:
+    """Raise ValueError for a dimension above ``MAX_DIM``; call it before allocating."""
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the limit of {MAX_DIM}")
 
 
 def _strip_common_factor(row: list[int], ncols: int) -> None:

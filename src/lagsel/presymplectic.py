@@ -32,7 +32,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Subspace, Vector, as_rational, denominator_lcm, dot, integer_rows, kernel
+from .linalg import Matrix, Subspace, Vector, as_rational, check_dim, denominator_lcm, dot, integer_rows, kernel
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ class SkewForm:
     @classmethod
     def from_upper_entries(cls, dim: int, entries: Iterable[tuple[int, int, object]]) -> SkewForm:
         """Build a form from its strictly-upper entries (1-based index pairs)."""
+        check_dim(dim)
         rows = [[Fraction(0)] * dim for _ in range(dim)]
         for i, j, value in entries:
             if not 1 <= i < j <= dim:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .linalg import Subspace, contains, integer_rows, intersect, pivot_columns
+from .linalg import Subspace, check_dim, contains, integer_rows, intersect, pivot_columns
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -48,6 +48,7 @@ class JumpSet:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"dimension m={self.m} must be non-negative")
+        check_dim(self.m)
         if any(not 1 <= j <= self.m for j in self.indices):
             raise ValueError(f"jump indices must lie in 1..{self.m}")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -152,49 +153,32 @@ def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     return FiltrationTrace(tuple(chain), tuple(i_seq), tuple(j_seq))
 
 
-@dataclass(frozen=True)
-class CellSignatureBridge:
-    """Translation data between a Schubert cell and its stratum signature.
-
-    ``r_seq`` lists the complement of the jump set (with the sentinel m+1
-    appended); the signature entry for step j is j before the first r, and
-    2*l - j when r_l <= j < r_{l+1}.
-    """
-
-    m: int
-    r_seq: tuple[int, ...]
-    signature: SignatureVector
-
-    @classmethod
-    def from_cell(cls, e: JumpSet) -> CellSignatureBridge:
-        m, d = e.m, len(e)
-        comp = e.complement()
-        r_seq = comp + (m + 1,)
-        entries = []
-        for j in range(1, m + 1):
-            ell = bisect_right(comp, j)
-            k_j = j if ell == 0 else 2 * ell - j
-            if k_j < 0:
-                raise ValueError(
-                    f"jump set {e.indices} cannot arise from a Lagrangian selection: "
-                    f"derived k_{j} = {k_j} < 0"
-                )
-            entries.append(k_j)
-        if m and entries[-1] != m - 2 * d:
-            raise ValueError(
-                f"jump set {e.indices} cannot arise from a Lagrangian selection: "
-                f"derived k_{m} = {entries[-1]} but codimension {d} forces {m - 2 * d}"
-            )
-        return cls(m, r_seq, SignatureVector(m, tuple(entries)))
-
-
 def cell_to_signature(e: JumpSet) -> SignatureVector:
     """The signature vector shared by every form whose selection lies in cell e.
 
-    Raises ValueError when the derived vector is inadmissible, i.e. the cell
-    cannot contain any Lagrangian selection.
+    With r_1 < r_2 < ... the complement of the jump set, the entry for step
+    j is j before r_1 and 2*l - j when r_l <= j < r_{l+1}.  Raises
+    ValueError when the derived vector is inadmissible, i.e. the cell cannot
+    contain any Lagrangian selection.
     """
-    return CellSignatureBridge.from_cell(e).signature
+    m, d = e.m, len(e)
+    comp = e.complement()
+    entries = []
+    for j in range(1, m + 1):
+        ell = bisect_right(comp, j)
+        k_j = j if ell == 0 else 2 * ell - j
+        if k_j < 0:
+            raise ValueError(
+                f"jump set {e.indices} cannot arise from a Lagrangian selection: "
+                f"derived k_{j} = {k_j} < 0"
+            )
+        entries.append(k_j)
+    if m and entries[-1] != m - 2 * d:
+        raise ValueError(
+            f"jump set {e.indices} cannot arise from a Lagrangian selection: "
+            f"derived k_{m} = {entries[-1]} but codimension {d} forces {m - 2 * d}"
+        )
+    return SignatureVector(m, tuple(entries))
 
 
 def selection_cell(b: SkewForm, flag: Flag | None = None) -> JumpSet:

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Any
 
 from .lie import Functional, LieAlgebra
-from .linalg import Matrix, Subspace, as_rational
+from .linalg import Matrix, Subspace, as_rational, check_dim
 from .presymplectic import Flag, SignatureVector, SkewForm
-from .probe import PathProbeReport, RankProbeReport
+from .probe import PathProbeReport
 from .schubert import FiltrationTrace, JumpSet
 
 
@@ -41,7 +41,20 @@ def vector_from_json(obj: Any, dim: int | None = None) -> list[Fraction]:
     return vec
 
 
-_vector_from_json = vector_from_json
+def _dim_field(obj: dict, key: str, least: int) -> int:
+    """The integer ``obj[key]``, at least ``least`` and at most ``MAX_DIM``."""
+    dim = obj[key]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < least:
+        raise ValueError(f"{key!r} must be an integer >= {least}")
+    check_dim(dim)
+    return dim
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list")
+    return value
 
 
 def subspace_to_json(sub: Subspace) -> dict:
@@ -54,11 +67,14 @@ def subspace_to_json(sub: Subspace) -> dict:
 def subspace_from_json(obj: Any) -> Subspace:
     if not isinstance(obj, dict) or "ambient_dim" not in obj or "basis" not in obj:
         raise ValueError("subspace JSON needs 'ambient_dim' and 'basis'")
-    m = obj["ambient_dim"]
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("'ambient_dim' must be a non-negative integer")
-    vectors = [_vector_from_json(row, m) for row in obj["basis"]]
+    m = _dim_field(obj, "ambient_dim", 0)
+    vectors = [vector_from_json(row, m) for row in _list_field(obj, "basis")]
     return Subspace.from_vectors(m, vectors)
+
+
+def _check_index(index: Any, field: str) -> None:
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError(f"{field} index {index!r} must be an integer")
 
 
 def skew_form_to_json(form: SkewForm) -> dict:
@@ -74,16 +90,14 @@ def skew_form_to_json(form: SkewForm) -> dict:
 def skew_form_from_json(obj: Any) -> SkewForm:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("skew form JSON needs 'dim' and 'upper'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError("'dim' must be a positive integer")
+    dim = _dim_field(obj, "dim", 1)
     entries = []
-    for item in obj.get("upper", []):
+    for item in _list_field(obj, "upper"):
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError("'upper' items must be [i, j, value] triples")
         i, j, value = item
-        if not isinstance(i, int) or not isinstance(j, int):
-            raise ValueError("'upper' indices must be integers")
+        _check_index(i, "'upper'")
+        _check_index(j, "'upper'")
         entries.append((i, j, rational_from_obj(value)))
     return SkewForm.from_upper_entries(dim, entries)
 
@@ -96,8 +110,8 @@ def flag_to_json(flag: Flag) -> dict:
 def flag_from_json(obj: Any) -> Flag:
     if not isinstance(obj, dict) or "dim" not in obj or "columns" not in obj:
         raise ValueError("flag JSON needs 'dim' and 'columns'")
-    dim = obj["dim"]
-    cols = [_vector_from_json(c, dim) for c in obj["columns"]]
+    dim = _dim_field(obj, "dim", 0)
+    cols = [vector_from_json(c, dim) for c in _list_field(obj, "columns")]
     if len(cols) != dim:
         raise ValueError(f"flag needs exactly {dim} columns")
     rows = [[cols[a][t] for a in range(dim)] for t in range(dim)]
@@ -117,24 +131,23 @@ def lie_algebra_to_json(algebra: LieAlgebra) -> dict:
 def lie_algebra_from_json(obj: Any) -> LieAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("Lie algebra JSON needs 'dim' and 'brackets'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError("'dim' must be a positive integer")
+    dim = _dim_field(obj, "dim", 1)
     brackets = {}
-    for item in obj.get("brackets", []):
+    for item in _list_field(obj, "brackets"):
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError("'brackets' items must be [i, j, coeffs] triples")
         i, j, coeffs = item
-        for index in (i, j):
-            if isinstance(index, bool) or not isinstance(index, int):
-                raise ValueError(f"bracket index {index!r} must be an integer")
-        brackets[(i, j)] = _vector_from_json(coeffs, dim)
+        _check_index(i, "bracket")
+        _check_index(j, "bracket")
+        brackets[(i, j)] = vector_from_json(coeffs, dim)
     labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ValueError("'labels' must be a list of strings")
     return LieAlgebra(dim, brackets, labels)
 
 
 def functional_from_json(obj: Any, dim: int | None = None) -> Functional:
-    return Functional.of(_vector_from_json(obj, dim))
+    return Functional.of(vector_from_json(obj, dim))
 
 
 def functional_to_json(xi: Functional) -> list[str]:
@@ -147,12 +160,6 @@ def signature_to_json(sig: SignatureVector) -> list[int]:
 
 def jump_set_to_json(e: JumpSet) -> list[int]:
     return list(e.indices)
-
-
-def matrix_from_json(obj: Any) -> Matrix:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("matrix JSON must be a non-empty list of rows")
-    return Matrix([_vector_from_json(row) for row in obj])
 
 
 def filtration_trace_to_json(trace: FiltrationTrace) -> dict:
@@ -179,24 +186,4 @@ def path_probe_report_to_json(report: PathProbeReport) -> dict:
             for s in report.samples
         ],
         "verdict": report.verdict,
-    }
-
-
-def rank_probe_report_to_json(report: RankProbeReport) -> dict:
-    return {
-        "base_radical_dim": report.base_radical_dim,
-        "scales": [
-            {
-                "scale": rational_to_str(r.scale),
-                "max_radical_dim": r.max_radical_dim,
-                "passed": r.passed,
-            }
-            for r in report.results
-        ],
-        "largest_passing_scale": (
-            rational_to_str(report.largest_passing_scale)
-            if report.largest_passing_scale is not None
-            else None
-        ),
-        "smallest_scale_failed": report.smallest_scale_failed,
     }

@@ -255,14 +255,14 @@ def test_missing_subcommand_is_invalid_input(capsys):
     assert code == 1
 
 
-def test_closed_stdout_pipe_exits_quietly():
+def run_with_closed_stdout(*args):
     # The reader closes its end before the CLI writes, as `| head` can.
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagsel.cli", "builtin", "g54", "--json"],
+        return subprocess.run(
+            [sys.executable, *args],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -270,5 +270,90 @@ def test_closed_stdout_pipe_exits_quietly():
         )
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    proc = run_with_closed_stdout("-m", "lagsel.cli", "builtin", "g54", "--json")
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+def test_closed_stdout_pipe_keeps_failed_check_exit_code():
+    script = (
+        "import sys\n"
+        "from lagsel import cli\n"
+        "from lagsel.suites import SuiteReport\n"
+        "cli.run_suite = lambda name, seed, trials: SuiteReport(name, seed, 1, 1, ['trial 0: planted'])\n"
+        "sys.exit(cli.main(['verify', 'casimir', '--json']))\n"
+    )
+    proc = run_with_closed_stdout("-c", script)
+    assert proc.stderr == b""
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("polarize", {"dim": 2, "upper": 7}),
+        ("polarize", {"dim": 65, "upper": []}),
+        ("polarize", {"dim": True, "upper": []}),
+        ("jump", {"ambient_dim": 2, "basis": 7}),
+        ("jump", {"ambient_dim": 65, "basis": []}),
+        ("vergne", {"dim": 2, "brackets": 7}),
+        ("vergne", {"dim": 2, "brackets": [], "labels": 5}),
+        ("vergne", {"dim": 2, "brackets": [], "labels": ["X", 2]}),
+        ("vergne", {"dim": 65, "brackets": []}),
+    ],
+)
+def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path, "input.json", payload)
+    argv = [command, path] + (["--xi", "1,0"] if command == "vergne" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _, err = run(capsys, "polarize", str(path))
+    assert code == 1
+    assert err == f"error: JSON nested too deeply in {path}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ({"dim": "2", "columns": [["1", "0"], ["0", "1"]]}, "'dim' must be an integer >= 0"),
+        ({"dim": 2, "columns": 7}, "'columns' must be a list"),
+        ({"dim": 65, "columns": []}, "dimension 65 exceeds the limit of 64"),
+    ],
+)
+def test_malformed_flag_files_exit_1(tmp_path, capsys, flag, message):
+    form = write_json(tmp_path, "form.json", {"dim": 2, "upper": [[1, 2, "1"]]})
+    code, _, err = run(capsys, "polarize", form, "--flag", write_json(tmp_path, "flag.json", flag))
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vergne", "heisenberg:32", "--xi", "1"),
+        ("builtin", "heisenberg:32"),
+        ("cell", "--m", "65"),
+    ],
+)
+def test_dimension_cap_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: dimension 65 exceeds the limit of 64\n"
+
+
+def test_probe_spec_rejects_non_list_samples(tmp_path, capsys):
+    spec = {"algebra": "g54", "base": ["1", "0", "0", "0", "0"], "direction": ["0"] * 5, "samples": 3}
+    code, _, err = run(capsys, "probe", write_json(tmp_path, "spec.json", spec))
+    assert code == 1
+    assert err == "error: 'samples' must be a list\n"

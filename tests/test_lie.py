@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from lagsel import lie
 from lagsel.lie import (
     Functional,
     JacobiError,
@@ -15,13 +16,12 @@ from lagsel.lie import (
     casimir_value,
     coadjoint_form,
     isotropy_subalgebra,
-    load_algebra,
     orbit_point,
     stratum,
     vergne_polarization,
     verify_jordan_holder,
 )
-from lagsel.linalg import Matrix, Subspace
+from lagsel.linalg import MAX_DIM, Matrix, Subspace
 from lagsel.presymplectic import Flag
 from lagsel.sampling import random_flag, random_functional_coeffs, random_rational
 
@@ -35,13 +35,13 @@ def e(m, i):
 
 
 def test_abelian_algebra_loads():
-    algebra = load_algebra(4, {})
+    algebra = LieAlgebra(4, {})
     assert algebra.dim == 4
     assert algebra.bracket(e(4, 1), e(4, 2)) == tuple(Fraction(0) for _ in range(4))
 
 
 def test_heisenberg_loads():
-    algebra = load_algebra(3, {(2, 3): [1, 0, 0]})
+    algebra = LieAlgebra(3, {(2, 3): [1, 0, 0]})
     assert algebra.bracket(e(3, 2), e(3, 3)) == (1, 0, 0)
     assert algebra.bracket(e(3, 3), e(3, 2)) == (-1, 0, 0)
 
@@ -49,18 +49,33 @@ def test_heisenberg_loads():
 def test_jacobi_violation_rejected_with_triple():
     # [X1,X2]=X3, [X1,X3]=X1 leaves a X3 residue on the triple (1,2,3).
     with pytest.raises(JacobiError, match="X1, X2, X3"):
-        load_algebra(3, {(1, 2): [0, 0, 1], (1, 3): [1, 0, 0]})
+        LieAlgebra(3, {(1, 2): [0, 0, 1], (1, 3): [1, 0, 0]})
 
 
 def test_bracket_key_validation():
     with pytest.raises(ValueError):
-        load_algebra(3, {(2, 2): [1, 0, 0]})
+        LieAlgebra(3, {(2, 2): [1, 0, 0]})
     with pytest.raises(ValueError):
-        load_algebra(3, {(1, 2): [1, 0]})
+        LieAlgebra(3, {(1, 2): [1, 0]})
+
+
+def test_dimension_cap():
+    assert LieAlgebra(MAX_DIM, {}).dim == MAX_DIM
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        LieAlgebra(MAX_DIM + 1, {})
+
+
+def test_heisenberg_cap_is_checked_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("algebra built past the dimension cap")
+
+    monkeypatch.setattr(lie, "LieAlgebra", build)
+    with pytest.raises(ValueError, match="dimension 2001 exceeds the limit"):
+        builtin("heisenberg:1000")
 
 
 def test_jordan_holder_abelian_any_flag():
-    algebra = load_algebra(3, {})
+    algebra = LieAlgebra(3, {})
     rng = Random(1)
     assert verify_jordan_holder(algebra, random_flag(rng, 3))
 
@@ -70,7 +85,7 @@ def test_jordan_holder_g54_standard_flag():
 
 
 def test_jordan_holder_fails_center_last():
-    algebra = load_algebra(3, {(2, 3): [1, 0, 0]})
+    algebra = LieAlgebra(3, {(2, 3): [1, 0, 0]})
     center_last = Flag(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     assert not verify_jordan_holder(algebra, center_last)
 
@@ -123,7 +138,7 @@ def test_vergne_polarization_axb_hyperplane():
 
 
 def test_vergne_polarization_rejects_non_jh_flag():
-    heis = load_algebra(3, {(2, 3): [1, 0, 0]})
+    heis = LieAlgebra(3, {(2, 3): [1, 0, 0]})
     center_last = Flag(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     with pytest.raises(ValueError):
         vergne_polarization(heis, center_last, Functional.of([1, 0, 0]))

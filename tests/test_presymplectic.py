@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from lagsel.linalg import Matrix, Subspace
+from lagsel.linalg import MAX_DIM, Matrix, Subspace
 from lagsel.presymplectic import (
     Flag,
     SignatureVector,
@@ -309,3 +309,9 @@ def test_selection_of_full_rank_form_on_rational_flag():
     selection = vergne_select(form, flag)
     assert (selection, signature_vector(form, flag).entries) == per_step_oracle(form, flag)
     assert is_lagrangian(form, selection)
+
+
+def test_form_dimension_cap():
+    assert SkewForm.from_upper_entries(MAX_DIM, []).dim == MAX_DIM
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SkewForm.from_upper_entries(MAX_DIM + 1, [])

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from lagsel.linalg import Subspace
+from lagsel.linalg import MAX_DIM, Subspace
 from lagsel.presymplectic import Flag, SkewForm, null_space, signature_vector, vergne_select
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
 from lagsel.schubert import (
@@ -184,3 +184,9 @@ def test_jump_indices_match_per_step_oracle(rational_flag):
         else:
             w = vergne_select(random_skew_form(rng, m), flag)
         assert jump_indices(w, flag).indices == per_step_jump_oracle(w, flag)
+
+
+def test_jump_set_dimension_cap():
+    assert len(cell_to_signature(JumpSet(MAX_DIM, ())).entries) == MAX_DIM
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        JumpSet(10**8, ())

@@ -5,9 +5,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagsel import serialize
-from lagsel.lie import builtin, load_algebra
+from lagsel.lie import builtin
 from lagsel.linalg import Matrix, Subspace
 from lagsel.presymplectic import Flag, SkewForm
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
@@ -116,3 +118,75 @@ def test_filtration_trace_serialization():
     assert payload["j_seq"] == [2]
     assert len(payload["chain"]) == 2
     assert payload["chain"][1] == {"ambient_dim": 2, "basis": [["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "loader, payload",
+    [
+        (serialize.skew_form_from_json, {"dim": 2, "upper": 7}),
+        (serialize.skew_form_from_json, {"dim": 2, "upper": [[True, 2, "1"]]}),
+        (serialize.flag_from_json, {"dim": 2, "columns": 7}),
+        (serialize.flag_from_json, {"dim": "2", "columns": [["1", "0"], ["0", "1"]]}),
+        (serialize.subspace_from_json, {"ambient_dim": 2, "basis": 7}),
+        (serialize.subspace_from_json, {"ambient_dim": 65, "basis": []}),
+        (serialize.lie_algebra_from_json, {"dim": 2, "brackets": 7}),
+        (serialize.lie_algebra_from_json, {"dim": 2, "labels": 5}),
+        (serialize.lie_algebra_from_json, {"dim": 1, "labels": "X"}),
+    ],
+)
+def test_loaders_reject_wrong_field_types(loader, payload):
+    with pytest.raises(ValueError):
+        loader(payload)
+
+
+# Arbitrary JSON values, plus objects with each loader's own fields.  Each
+# field is well formed half of the time, so that the examples get past the
+# first shape check and reach the constructors.
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["0", "1", "-2/3", "1/0", "x"])
+    | st.text(max_size=3)
+)
+_json = _scalars | st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _often(valid, other=_json):
+    return st.booleans().flatmap(lambda ok: valid if ok else other)
+
+
+_dim = _often(st.integers(0, 4))
+_vector = st.lists(_often(st.sampled_from([0, 1, -1, "1/2"]), _scalars), max_size=4)
+_rows = _often(st.lists(_often(_vector), max_size=4))
+_index = _often(st.integers(1, 4), _scalars)
+_triples = _often(st.lists(_often(st.tuples(_index, _index, _often(_vector)).map(list)), max_size=3))
+LOADER_INPUTS = {
+    serialize.rational_from_obj: _json,
+    serialize.vector_from_json: _json,
+    serialize.functional_from_json: _json,
+    serialize.subspace_from_json: st.fixed_dictionaries({"ambient_dim": _dim, "basis": _rows}),
+    serialize.skew_form_from_json: st.fixed_dictionaries({"dim": _dim, "upper": _triples}),
+    serialize.flag_from_json: st.fixed_dictionaries({"dim": _dim, "columns": _rows}),
+    serialize.lie_algebra_from_json: st.fixed_dictionaries(
+        {"dim": _dim, "brackets": _triples}, optional={"labels": _often(st.lists(st.text(max_size=2), max_size=4))}
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", LOADER_INPUTS, ids=lambda f: f.__name__)
+def test_loaders_yield_an_object_or_value_error(loader):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(obj=LOADER_INPUTS[loader])
+    def check(obj):
+        try:
+            loader(obj)
+        except ValueError:
+            pass
+
+    check()
