@@ -176,7 +176,9 @@ class LieAlgebra:
         return [(a + 1, b + 1, table[a][b]) for a, b in pairs]
 
 
-@lru_cache(maxsize=512)
+# Bounded like ``builtin``: each key holds its algebra, and a fresh axb
+# algebra per call would otherwise stay alive until the cache filled.
+@lru_cache(maxsize=16)
 def verify_jordan_holder(algebra: LieAlgebra, flag: Flag) -> bool:
     """True iff every flag step is an ideal (the flag is a Jordan-Hölder chain).
 

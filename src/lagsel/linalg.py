@@ -108,11 +108,18 @@ def _rref_int_rows(rows: list[list[int]]) -> list[int]:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, strings like ``"2/3"``, and Fractions to an exact rational."""
+    """Coerce ints, strings like ``"2/3"`` or ``"0.5"``, and Fractions to an exact rational.
+
+    Strings in exponent notation are refused: ``"1e200000"`` would build a
+    664,386-bit integer from eight characters, while an accepted string's
+    bit length stays linear in its length.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass int, str or Fraction")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"refusing exponent notation in {value!r}; write an int, 'p/q' or a decimal")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:

@@ -128,13 +128,22 @@ class Flag:
         """The a-th flag basis vector (0-based)."""
         return self.basis_matrix.column(a)
 
+    @cached_property
+    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The flag basis vectors, each scaled by the lcm of its own denominators.
+
+        A positive scaling of a basis vector changes no flag step, so the
+        integer primitives all read these columns.
+        """
+        return tuple(map(tuple, integer_rows(self.basis_matrix.transpose().entries)))
+
     def subspace(self, j: int) -> Subspace:
         """The flag step V_j (0 <= j <= m)."""
         if not 0 <= j <= self.dim:
             raise ValueError(f"flag step {j} out of range")
         if self._standard:
             return Subspace._from_canonical(self.dim, Subspace.full(self.dim).rows[:j], tuple(range(j)))
-        return Subspace.from_vectors(self.dim, [self.column(a) for a in range(j)])
+        return Subspace._span(self.dim, [list(col) for col in self.integer_columns[:j]])
 
     def embed(self, j: int, sub: Subspace) -> Subspace:
         """Map a subspace expressed in V_j-coordinates into the ambient space."""
@@ -221,19 +230,21 @@ def restrict(b: SkewForm, flag: Flag, j: int) -> SkewForm:
     return SkewForm(Matrix([[dot(cols[a], images[c]) for c in range(j)] for a in range(j)]))
 
 
-def _integer_gram(b: SkewForm, flag: Flag) -> tuple[Sequence[Sequence[int]], list[list[int]] | None]:
+def _integer_gram(
+    b: SkewForm, flag: Flag
+) -> tuple[Sequence[Sequence[int]], Sequence[Sequence[int]] | None]:
     """The Gram matrix P^T B P of the flag basis, in integers, and P's columns.
 
-    B is scaled by the lcm of its denominators and each flag column by the
-    lcm of its own.  Positive scalings change no null space and no flag step.
-    The columns are None for the standard flag, whose P is the identity.
+    B is ``b.integer_matrix`` and P's columns are ``flag.integer_columns``.
+    Positive scalings change no null space and no flag step.  The columns
+    are None for the standard flag, whose P is the identity.
     """
     if b.dim != flag.dim:
         raise ValueError("form and flag dimensions differ")
     gram = b.integer_matrix
     if flag.is_standard():
         return gram, None
-    cols = integer_rows(flag.basis_matrix.transpose().entries)
+    cols = flag.integer_columns
     images = [[sum(map(mul, row, col)) for row in gram] for col in cols]
     return [[sum(map(mul, col, image)) for image in images] for col in cols], cols
 

@@ -11,27 +11,36 @@ ambient space down one dimension at a time,
     p^0 = V,   p^{k+1} = (V_{i_{k+1}} ∩ p^k)^{⊥_B} ∩ p^k,
 
 with i_{k+1} the first flag step whose trace in p^k is not B-orthogonal to
-p^k, stopping at the first isotropic term p^d.  The end of the chain is
-exactly the flag selection ``vergne_select(B)``, the recorded index
-sequences land bijectively in the jump sets of N(B) and of the selection,
-and the jump set of the selection determines the signature vector.  All of
-these facts are exact theorems; ``verify_filtration_lemmas`` re-checks them
-on concrete inputs and reports any violation (which would mean a bug here,
-not new mathematics).
+p^k, stopping at the first isotropic term p^d.  It runs as one fraction-free
+sweep in flag coordinates over the Gram matrix of the flag basis: each p^k is
+kept as a basis in echelon form by last nonzero coordinate, so every trace
+V_i ∩ p^k is a prefix of that basis and no intersection is taken.
+
+The end of the chain is exactly the flag selection ``vergne_select(B)``, the
+recorded index sequences land bijectively in the jump sets of N(B) and of
+the selection, and the jump set of the selection determines the signature
+vector.  All of these facts are exact theorems; ``verify_filtration_lemmas``
+re-checks them on concrete inputs, with intersections in the ambient space
+that share no code with the sweep, and reports any violation (which would
+mean a bug here, not new mathematics).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
+from typing import Callable
 
-from .linalg import Subspace, check_dim, contains, integer_rows, intersect, pivot_columns
+from .linalg import Subspace, _rref_int_rows, check_dim, contains, intersect, kernel
 from .presymplectic import (
     Flag,
     SignatureVector,
     SkewForm,
+    _integer_gram,
+    _primitive,
     b_perp,
-    is_isotropic,
     null_space,
     signature_vector,
     vergne_select,
@@ -80,9 +89,9 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
         raise ValueError("subspace and flag dimensions differ")
     # Scaling a column keeps the pivots, so each column is made integral on
     # its own; a common scale per row would multiply their denominators.
-    cols = integer_rows(w.rows + flag.basis_matrix.transpose().entries)
+    rows = [list(row) for row in zip(*(w.rows + flag.integer_columns))]
     d = w.dim
-    return JumpSet(flag.dim, tuple(c - d + 1 for c in pivot_columns(list(zip(*cols))) if c >= d))
+    return JumpSet(flag.dim, tuple(c - d + 1 for c in _rref_int_rows(rows) if c >= d))
 
 
 @dataclass(frozen=True)
@@ -106,50 +115,57 @@ class FiltrationTrace:
         return self.chain[-1]
 
 
-def _first_trace_outside(
-    target: Subspace, steps: list[Subspace], p: Subspace, traces: list[Subspace]
-) -> int:
-    """The least i >= 1 with V_i ∩ p not inside ``target``.
-
-    ``traces[i]`` holds V_i ∩ p; the list is extended only as far as the
-    answer needs, so later steps are never intersected.
-    """
-    for i in range(1, len(steps)):
-        if len(traces) == i:
-            traces.append(intersect(steps[i], p))
-        if not contains(target, traces[i]):
-            return i
-    raise RuntimeError("no flag step leaves the target: internal bug")
-
-
 def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     """Run the isotropic filtration for B along the flag.
 
     Stops at the first isotropic chain member; by construction that member is
     the flag selection of a Lagrangian subspace and the number of steps is
     (m - dim N(B)) / 2.
+
+    One fraction-free pass over the Gram matrix G of the flag basis, as in
+    ``vergne_select``'s sweep.  Each member p^k has a basis x_1..x_n in flag
+    coordinates, in echelon form by last nonzero coordinate l_1 < ... < l_n,
+    so its trace V_i ∩ p^k is spanned by the x_t with l_t <= i.  With a the
+    first index with B(x_a, p^k) != 0 and b the first with B(x_a, x_b) != 0,
+    i = l_a, j = l_b, and p^{k+1} = {y in p^k : B(x_a, y) = 0} is spanned by
+    the x_t for t < b and B(x_a, x_b) x_t - B(x_a, x_t) x_b for t > b.  The
+    member itself is the kernel of the functionals B(x_a, .) of the steps so
+    far, mapped into the ambient space.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
-    if b.dim != flag.dim:
-        raise ValueError("form and flag dimensions differ")
-    steps = _flag_steps(flag)
-    p = Subspace.full(b.dim)
-    chain = [p]
+    gram, cols = _integer_gram(b, flag)
+    p_rows = None if cols is None else list(zip(*cols))
+    m = b.dim
+
+    def form(x: list[int], y: list[int]) -> int:
+        return sum(map(mul, x[m:], y))  # B(x, y) = (x^T G) y
+
+    # Flag basis vector t as the row (e_t, e_t^T G); its last index is t.
+    basis = [[int(s == t) for s in range(m)] + list(gram[t]) for t in range(m)]
+    last = list(range(m))
+    chain = [Subspace.full(m)]
     i_seq: list[int] = []
     j_seq: list[int] = []
-    while not is_isotropic(b, p):
-        perp_p = b_perp(b, p)
-        traces = [steps[0]]  # V_0 ∩ p = V_0
-        i_next = _first_trace_outside(perp_p, steps, p, traces)
-        p_next = intersect(b_perp(b, traces[i_next]), p)
-        j_next = _first_trace_outside(p_next, steps, p, traces)
-        if p_next.dim >= p.dim:
-            raise RuntimeError("filtration failed to shrink: internal bug")
-        chain.append(p_next)
-        i_seq.append(i_next)
-        j_seq.append(j_next)
-        p = p_next
+    functionals: list[list[int]] = []  # the rows B (P x_a), one per step
+    a = 0
+    while a < len(basis):
+        x = basis[a]
+        pair = next((t for t in range(a + 1, len(basis)) if form(x, basis[t])), None)
+        if pair is not None:
+            y = basis.pop(pair)
+            i_seq.append(last[a] + 1)
+            j_seq.append(last.pop(pair) + 1)
+            omega = form(x, y)
+            for t in range(pair, len(basis)):
+                xt = form(x, basis[t])
+                if xt:
+                    basis[t] = _primitive([omega * e - xt * f for e, f in zip(basis[t], y)])
+            v = x[:m] if p_rows is None else [sum(map(mul, x, row)) for row in p_rows]
+            functionals.append([sum(map(mul, g, v)) for g in b.integer_matrix])
+            chain.append(kernel(functionals))
+        # x_a is now B-orthogonal to the member, and so to every later one.
+        a += 1
     return FiltrationTrace(tuple(chain), tuple(i_seq), tuple(j_seq))
 
 
@@ -218,17 +234,19 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
 
     Every check below is a proved statement, so a failure is a bug report,
     not a counterexample; the witness string carries enough context to
-    reproduce it.
+    reproduce it.  Witnesses are built only for failed checks.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
     m = b.dim
     checks: list[CheckResult] = []
 
-    def check(name: str, passed: bool, witness: str = "") -> None:
-        checks.append(CheckResult(name, passed, "" if passed else witness))
+    def check(name: str, passed: bool, witness: Callable[[], str]) -> None:
+        checks.append(CheckResult(name, passed, "" if passed else witness()))
 
-    ctx = f"B={[[str(x) for x in row] for row in b.matrix.entries]}, flag={[[str(x) for x in row] for row in flag.basis_matrix.entries]}"
+    @cache
+    def ctx() -> str:
+        return f"B={[[str(x) for x in row] for row in b.matrix.entries]}, flag={[[str(x) for x in row] for row in flag.basis_matrix.entries]}"
 
     trace = filtration(b, flag)
     d = trace.d
@@ -244,64 +262,64 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
         p_k, p_k1 = trace.chain[k], trace.chain[k + 1]
         i_k, j_k = trace.i_seq[k], trace.j_seq[k]
         vi_trace = intersect(steps[i_k], p_k)
-        vj_trace = intersect(steps[j_k], p_k)
+        recovered = p_k1 + intersect(steps[j_k], p_k)
         check(
             f"step-{k}: quotient dimension one",
             p_k.dim - p_k1.dim == 1 and contains(p_k, p_k1),
-            f"dims {p_k.dim}->{p_k1.dim} [{ctx}]",
+            lambda: f"dims {p_k.dim}->{p_k1.dim} [{ctx()}]",
         )
         check(
             f"step-{k}: chain member recovered by the j-trace",
-            p_k1 + vj_trace == p_k,
-            f"sum has dim {(p_k1 + vj_trace).dim}, expected {p_k.dim} [{ctx}]",
+            recovered == p_k,
+            lambda: f"sum has dim {recovered.dim}, expected {p_k.dim} [{ctx()}]",
         )
         check(
             f"step-{k}: i-trace absorbed",
             contains(p_k1, vi_trace),
-            f"i_k={i_k} [{ctx}]",
+            lambda: f"i_k={i_k} [{ctx()}]",
         )
         check(
             f"step-{k}: i-trace orthogonal to next member",
             contains(b_perp(b, vi_trace), p_k1),
-            f"i_k={i_k} [{ctx}]",
+            lambda: f"i_k={i_k} [{ctx()}]",
         )
         check(f"step-{k}: relative radical monotone", contains(radicals[k + 1], radicals[k]), ctx)
 
     check(
         "chain ends at the flag selection",
         trace.final == selection,
-        f"final={trace.final.basis}, selection={selection.basis} [{ctx}]",
+        lambda: f"final={trace.final.basis}, selection={selection.basis} [{ctx()}]",
     )
     check(
         "step count is half the radical codimension",
         2 * d == m - radical.dim,
-        f"d={d}, dim N={radical.dim} [{ctx}]",
+        lambda: f"d={d}, dim N={radical.dim} [{ctx()}]",
     )
     check(
         "i-sequence strictly increasing, below j-sequence",
         all(a < b_ for a, b_ in zip(trace.i_seq, trace.i_seq[1:]))
         and all(i < j for i, j in zip(trace.i_seq, trace.j_seq)),
-        f"i_seq={trace.i_seq}, j_seq={trace.j_seq} [{ctx}]",
+        lambda: f"i_seq={trace.i_seq}, j_seq={trace.j_seq} [{ctx()}]",
     )
     check(
         "index sequences inside jump set of the radical",
         set(trace.i_seq) <= set(jump_n.indices) and set(trace.j_seq) <= set(jump_n.indices),
-        f"i_seq={trace.i_seq}, j_seq={trace.j_seq}, jump N={jump_n.indices} [{ctx}]",
+        lambda: f"i_seq={trace.i_seq}, j_seq={trace.j_seq}, jump N={jump_n.indices} [{ctx()}]",
     )
     check(
         "i-sequence hits jump N minus jump of the selection",
         tuple(sorted(set(jump_n.indices) - set(jump_p.indices))) == trace.i_seq,
-        f"i_seq={trace.i_seq}, jump N={jump_n.indices}, jump sel={jump_p.indices} [{ctx}]",
+        lambda: f"i_seq={trace.i_seq}, jump N={jump_n.indices}, jump sel={jump_p.indices} [{ctx()}]",
     )
     check(
         "j-sequence bijects onto jump of the selection",
         len(set(trace.j_seq)) == d and set(trace.j_seq) == set(jump_p.indices),
-        f"j_seq={trace.j_seq}, jump sel={jump_p.indices} [{ctx}]",
+        lambda: f"j_seq={trace.j_seq}, jump sel={jump_p.indices} [{ctx()}]",
     )
     check(
         "jump cardinalities",
         len(jump_n) == 2 * d and len(jump_p) == d,
-        f"|jump N|={len(jump_n)}, |jump sel|={len(jump_p)}, d={d} [{ctx}]",
+        lambda: f"|jump N|={len(jump_n)}, |jump sel|={len(jump_p)}, d={d} [{ctx()}]",
     )
 
     sig = signature_vector(b, flag)
@@ -310,22 +328,20 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
         check(
             "cell determines the signature vector",
             derived == sig,
-            f"derived={derived.entries}, signature={sig.entries} [{ctx}]",
+            lambda: f"derived={derived.entries}, signature={sig.entries} [{ctx()}]",
         )
     except ValueError as exc:
-        check("cell determines the signature vector", False, f"{exc} [{ctx}]")
+        check("cell determines the signature vector", False, lambda: f"{exc} [{ctx()}]")
 
     comp = jump_p.complement()
-    ladder_ok = True
     ladder_witness = ""
     for j in range(1, m + 1):
         ell = bisect_right(comp, j)
         expected = j if ell == 0 else ell
         got = intersect(selection, steps[j]).dim
         if got != expected:
-            ladder_ok = False
-            ladder_witness = f"dim(selection ∩ V_{j}) = {got}, expected {expected} [{ctx}]"
+            ladder_witness = f"dim(selection ∩ V_{j}) = {got}, expected {expected} [{ctx()}]"
             break
-    check("selection/flag dimension ladder", ladder_ok, ladder_witness)
+    check("selection/flag dimension ladder", not ladder_witness, lambda: ladder_witness)
 
     return FiltrationLemmaReport(tuple(checks))

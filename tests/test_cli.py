@@ -314,6 +314,13 @@ def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, command, payload
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_exponent_notation_in_xi_exits_1_with_one_line(capsys):
+    code, out, err = run(capsys, "vergne", "g54", "--xi=1e200000,0,0,0,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing exponent notation") and err.count("\n") == 1
+
+
 def test_deeply_nested_json_exits_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -212,6 +212,11 @@ def test_builtin_cache_stays_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
+def test_jordan_holder_cache_is_bounded_like_builtin():
+    # Each verify_jordan_holder key holds an algebra, often a fresh axb one.
+    assert verify_jordan_holder.cache_info().maxsize == builtin.cache_info().maxsize
+
+
 def test_casimir_values():
     assert casimir_value("g54", Functional.of([1, 0, 0, 0, 1])) == 2
     assert casimir_value("g54", Functional.of([0, 0, 0, 0, 0])) == 0

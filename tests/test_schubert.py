@@ -4,10 +4,12 @@ from random import Random
 
 import pytest
 
-from lagsel.linalg import MAX_DIM, Subspace
-from lagsel.presymplectic import Flag, SkewForm, null_space, signature_vector, vergne_select
+from lagsel import linalg, schubert
+from lagsel.linalg import MAX_DIM, Subspace, contains, intersect
+from lagsel.presymplectic import Flag, SkewForm, b_perp, is_isotropic, null_space, signature_vector, vergne_select
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
 from lagsel.schubert import (
+    FiltrationTrace,
     JumpSet,
     cell_to_signature,
     filtration,
@@ -190,3 +192,107 @@ def test_jump_set_dimension_cap():
     assert len(cell_to_signature(JumpSet(MAX_DIM, ())).entries) == MAX_DIM
     with pytest.raises(ValueError, match="exceeds the limit"):
         JumpSet(10**8, ())
+
+
+def first_trace_outside(target, steps, p, traces):
+    """The least i >= 1 with V_i ∩ p not inside ``target``; ``traces[i]`` caches V_i ∩ p."""
+    for i in range(1, len(steps)):
+        if len(traces) == i:
+            traces.append(intersect(steps[i], p))
+        if not contains(target, traces[i]):
+            return i
+    raise AssertionError("no flag step leaves the target")
+
+
+def filtration_oracle(b, flag):
+    """The definition: p^{k+1} = (V_i ∩ p^k)^{⊥_B} ∩ p^k, with i and j found by intersecting flag steps."""
+    steps = [flag.subspace(j) for j in range(flag.dim + 1)]
+    p = Subspace.full(b.dim)
+    chain, i_seq, j_seq = [p], [], []
+    while not is_isotropic(b, p):
+        traces = [steps[0]]
+        i_next = first_trace_outside(b_perp(b, p), steps, p, traces)
+        p_next = intersect(b_perp(b, traces[i_next]), p)
+        j_next = first_trace_outside(p_next, steps, p, traces)
+        assert p_next.dim < p.dim
+        chain.append(p_next)
+        i_seq.append(i_next)
+        j_seq.append(j_next)
+        p = p_next
+    return FiltrationTrace(tuple(chain), tuple(i_seq), tuple(j_seq))
+
+
+def filtration_cases(rational_flag, count, seed):
+    """Seeded (form, flag) pairs, m = 1..10, over four form densities and three flag kinds."""
+    rng = Random(seed)
+    for n in range(count):
+        m = 1 + n % 10
+        form = random_skew_form(rng, m, zero_chance=(0.0, 0.35, 0.8, 1.0)[(n // 10) % 4])
+        kind = (n // 40) % 3
+        if kind == 0:
+            flag = Flag.standard(m)
+        elif kind == 1:
+            flag = random_flag(rng, m)
+        else:
+            flag = rational_flag(rng, m)
+        yield form, flag
+
+
+def test_filtration_matches_per_step_oracle(rational_flag):
+    for form, flag in filtration_cases(rational_flag, 520, 31):
+        assert filtration(form, flag) == filtration_oracle(form, flag)
+
+
+def test_filtration_makes_no_intersect_and_at_most_two_eliminations_per_step(rational_flag, monkeypatch):
+    calls = {"rref": 0, "intersect": 0}
+    rref_int_rows, original_intersect = linalg._rref_int_rows, linalg.intersect
+
+    def counted_rref(rows):
+        calls["rref"] += 1
+        return rref_int_rows(rows)
+
+    def counted_intersect(s1, s2):
+        calls["intersect"] += 1
+        return original_intersect(s1, s2)
+
+    monkeypatch.setattr(linalg, "_rref_int_rows", counted_rref)
+    monkeypatch.setattr(linalg, "intersect", counted_intersect)
+    monkeypatch.setattr(schubert, "intersect", counted_intersect)
+    steps = 0
+    for form, flag in filtration_cases(rational_flag, 520, 37):
+        calls.update(rref=0, intersect=0)
+        trace = filtration(form, flag)
+        assert calls["intersect"] == 0
+        assert calls["rref"] <= 2 * trace.d
+        steps += trace.d
+    assert steps > 500
+
+
+def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
+    rng = Random(5)
+    form, flag = random_skew_form(rng, 5, zero_chance=0.0), random_flag(rng, 5)
+    sums = []
+    original_sum = linalg.subspace_sum
+
+    def counted_sum(s1, s2):
+        sums.append(1)
+        return original_sum(s1, s2)
+
+    monkeypatch.setattr(linalg, "subspace_sum", counted_sum)
+    report = verify_filtration_lemmas(form, flag)
+    assert report.ok and all(c.witness == "" for c in report.checks)
+    # One sum per step for its check; none more for a witness nobody reads.
+    assert len(sums) == filtration(form, flag).d == 2
+
+    original = schubert.vergne_select
+
+    def dropped_row(b, flag=None):
+        selection = original(b, flag)
+        return Subspace(selection.ambient_dim, selection.basis[:-1], selection.pivots[:-1])
+
+    monkeypatch.setattr(schubert, "vergne_select", dropped_row)
+    report = verify_filtration_lemmas(form, flag)
+    failed = {c.name: c.witness for c in report.failures()}
+    witness = failed["chain ends at the flag selection"]
+    assert "final=" in witness and "B=[[" in witness
+    assert all(c.witness == "" for c in report.checks if c.passed)

@@ -31,6 +31,20 @@ def test_rational_rejects_floats_and_junk():
         serialize.rational_from_obj("3/0")
 
 
+@pytest.mark.parametrize("text", ["1e200000", "1E3", "-2.5e-1"])
+def test_rational_refuses_exponent_notation(text):
+    # Refused before Fraction parses the string: "1e200000" would be a 664,386-bit integer.
+    with pytest.raises(ValueError, match="exponent notation"):
+        serialize.rational_from_obj(text)
+    with pytest.raises(ValueError, match="exponent notation"):
+        serialize.skew_form_from_json({"dim": 2, "upper": [[1, 2, text]]})
+
+
+def test_rational_accepts_decimal_strings():
+    assert serialize.rational_from_obj("0.5") == Fraction(1, 2)
+    assert serialize.rational_from_obj("-1.25") == Fraction(-5, 4)
+
+
 def test_subspace_round_trip_random():
     rng = Random(3)
     for _ in range(30):
