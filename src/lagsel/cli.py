@@ -32,10 +32,6 @@ OK, INVALID_INPUT, CHECK_FAILED = 0, 1, 2
 Outcome = tuple[int, dict, list[str]]
 
 
-class CheckFailure(Exception):
-    """A theorem-backed check failed (exit code 2)."""
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -116,10 +112,7 @@ def cmd_vergne(args) -> Outcome:
     if xi.m != algebra.dim:
         raise ValueError(f"xi has {xi.m} entries, algebra has dimension {algebra.dim}")
     flag = _load_flag(args, algebra.dim)
-    try:
-        pol = vergne_polarization(algebra, flag, xi)
-    except RuntimeError as exc:
-        raise CheckFailure(str(exc)) from exc
+    pol = vergne_polarization(algebra, flag, xi)
     iso = isotropy_subalgebra(algebra, xi)
     sig = stratum(algebra, flag, xi)
     cell = jump_indices(pol, flag)
@@ -335,7 +328,8 @@ def main(argv=None) -> int:
         return INVALID_INPUT
     try:
         code, payload, lines = args.handler(args)
-    except CheckFailure as exc:
+    except RuntimeError as exc:
+        # The library raises RuntimeError for internal failures, never for bad input.
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, KeyError) as exc:

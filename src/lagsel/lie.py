@@ -200,7 +200,7 @@ def coadjoint_form(algebra: LieAlgebra, xi: Functional) -> SkewForm:
     for row, entries in zip(rows, algebra._constants):
         for b, vec in entries:
             row[b] = sum(map(mul, xs, vec))
-    return SkewForm(Matrix([[Fraction(v, scale) for v in row] for row in rows]))
+    return SkewForm._from_integers(rows, scale)
 
 
 def isotropy_subalgebra(algebra: LieAlgebra, xi: Functional) -> Subspace:

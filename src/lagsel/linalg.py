@@ -8,10 +8,12 @@ Inside the library a subspace is a tuple of integer rows: its reduced row
 echelon basis with each row scaled to coprime integers and a positive pivot.
 That form is canonical, so set equality is plain ``==`` on the rows, and the
 primitives run on integers without building a ``Fraction``.  Skew forms
-(``SkewForm.integer_matrix``) and Lie algebras (integer structure constants)
+(``SkewForm.integer_matrix`` and its scale), flags (``Flag.integer_columns``,
+each column scaled on its own) and Lie algebras (integer structure constants)
 follow the same rule, scaled by the lcm of their denominators.  Fractions
 appear only at the boundary: ``Matrix`` entries, ``rref``,
-``Subspace.basis`` and ``LieAlgebra.table``.
+``Subspace.basis``, ``LieAlgebra.table``, ``SkewForm.matrix``,
+``Flag.basis_matrix`` and ``Flag.column``.
 
 Every elimination goes through one routine, ``_rref_int_rows``: fraction-free
 Gauss-Jordan elimination on integer rows.  Dimensions are capped at
@@ -212,39 +214,6 @@ class Matrix:
     def transpose(self) -> Matrix:
         return Matrix(zip(*self.entries)) if self.entries else Matrix([])
 
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return Matrix(
-            [[dot(row, col) for col in cols] for row in self.entries]
-        )
-
-    def apply(self, vec: Sequence) -> Vector:
-        """Matrix-vector product ``M v``."""
-        v = as_vector(vec, self.cols)
-        return tuple(dot(row, v) for row in self.entries)
-
-    def scaled(self, c) -> Matrix:
-        c = as_rational(c)
-        return Matrix([[c * x for x in row] for row in self.entries])
-
-    def __add__(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        n = self.rows
-        return all(self.entries[i][j] == -self.entries[j][i] for i in range(n) for j in range(i, n))
-
     def rank(self) -> int:
         return len(pivot_columns(self.entries))
 
@@ -408,9 +377,6 @@ class Subspace:
     def __le__(self, other: Subspace) -> bool:
         return contains(other, self)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.basis)
-
 
 def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
     if s1.ambient_dim != s2.ambient_dim:
@@ -422,7 +388,7 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
 def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
     """The solution space ``{x : Mx = 0}`` in canonical form.
 
-    ``matrix`` is a Matrix or a nonempty list of integer rows.  With M
+    ``matrix`` is a Matrix or a list of integer rows (an empty list is 0 x 0).  With M
     reduced, each free column f gives the generator with L at f and
     ``-M[r][f] * L / M[r][p_r]`` at each pivot p_r, where L is the lcm of the
     pivot entries; one more elimination makes the generators canonical.
@@ -430,7 +396,7 @@ def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
     if isinstance(matrix, Matrix):
         ncols, rows = matrix.cols, integer_rows(matrix.entries)
     else:
-        ncols, rows = len(matrix[0]), [list(row) for row in matrix]
+        ncols, rows = len(matrix[0]) if matrix else 0, [list(row) for row in matrix]
     pivots = _rref_int_rows(rows)
     if not pivots:
         return Subspace.full(ncols)
@@ -495,16 +461,3 @@ def contains(s1: Subspace, s2: Subspace) -> bool:
         return s2.dim == s1.dim and s1.rows == s2.rows
     return s1.is_full() or all(s1._reduces_to_zero(row) for row in s2.rows)
 
-
-def solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve ``A X = RHS`` for square invertible ``A`` (exact)."""
-    if a.rows != a.cols:
-        raise ValueError("solve requires a square matrix")
-    if a.rows != rhs.rows:
-        raise ValueError("right-hand side has wrong number of rows")
-    n = a.rows
-    augmented = Matrix([ra + rb for ra, rb in zip(a.entries, rhs.entries)])
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in reduced.entries])

@@ -28,94 +28,132 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Subspace, Vector, as_rational, check_dim, denominator_lcm, dot, integer_rows, kernel
+from .linalg import Matrix, Subspace, Vector, _rref_int_rows, as_rational, check_dim, denominator_lcm, integer_rows, kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SkewForm:
-    """A skew-symmetric bilinear form, stored as its Gram matrix.
+    """A skew-symmetric bilinear form, stored as its integer Gram matrix.
 
-    ``matrix.entry(i, j)`` is the value of the form on the i-th and j-th
-    standard basis vectors; exact skew symmetry is enforced on construction.
+    ``integer_matrix`` is the Gram matrix scaled by ``scale``, the lcm of its
+    denominators: the form's value on the i-th and j-th standard basis
+    vectors is ``integer_matrix[i][j] / scale``.  The pair is canonical, so
+    equal forms compare and hash equal.  A positive scaling changes no
+    orthogonal complement, null space or isotropy, so the integer primitives
+    all read ``integer_matrix``.  ``matrix`` is built on first read.
+
+    ``SkewForm(matrix)`` takes a ``Matrix`` and enforces exact skew symmetry.
     """
 
-    matrix: Matrix
+    integer_matrix: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self):
-        if not self.matrix.is_skew_symmetric():
+    def __init__(self, matrix: Matrix):
+        entries = matrix.entries
+        scale = denominator_lcm(x for row in entries for x in row)
+        self._set([[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale)
+
+    def _set(self, rows: Sequence[Sequence[int]], scale: int) -> None:
+        n = len(rows)
+        if any(len(row) != n for row in rows) or any(
+            rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)
+        ):
             raise ValueError("matrix of a skew form must be exactly skew-symmetric")
+        g = gcd(scale, *(x for row in rows for x in row)) if scale != 1 else 1
+        object.__setattr__(self, "integer_matrix", tuple(tuple(x // g for x in row) for row in rows))
+        object.__setattr__(self, "scale", scale // g)
+
+    @classmethod
+    def _from_integers(cls, rows: Sequence[Sequence[int]], scale: int) -> SkewForm:
+        """The form with Gram matrix ``rows / scale``, for integer rows and scale > 0."""
+        form = object.__new__(cls)
+        form._set(rows, scale)
+        return form
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The Gram matrix as Fractions."""
+        return Matrix([[Fraction(x, self.scale) for x in row] for row in self.integer_matrix])
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
-
-    @cached_property
-    def integer_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The Gram matrix scaled by the lcm of its denominators, in integers.
-
-        A positive scaling changes no orthogonal complement, null space or
-        isotropy, so the integer primitives all read this matrix.
-        """
-        entries = self.matrix.entries
-        scale = denominator_lcm(x for row in entries for x in row)
-        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries)
+        return len(self.integer_matrix)
 
     @classmethod
     def zero(cls, dim: int) -> SkewForm:
-        return cls(Matrix.zero(dim, dim))
+        return cls._from_integers([[0] * dim for _ in range(dim)], 1)
 
     @classmethod
     def from_upper_entries(cls, dim: int, entries: Iterable[tuple[int, int, object]]) -> SkewForm:
         """Build a form from its strictly-upper entries (1-based index pairs)."""
         check_dim(dim)
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        upper = {}
         for i, j, value in entries:
             if not 1 <= i < j <= dim:
                 raise ValueError(f"upper entry ({i}, {j}) out of range for dim {dim}")
-            v = as_rational(value)
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = -v
-        return cls(Matrix(rows))
-
-    def value(self, u, v) -> Fraction:
-        """Evaluate the form on two vectors."""
-        return dot(u, self.matrix.apply(v))
+            upper[i - 1, j - 1] = as_rational(value)
+        scale = denominator_lcm(upper.values())
+        rows = [[0] * dim for _ in range(dim)]
+        for (i, j), v in upper.items():
+            rows[i][j] = v.numerator * (scale // v.denominator)
+            rows[j][i] = -rows[i][j]
+        return cls._from_integers(rows, scale)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.matrix.entries for x in row)
+        return not any(map(any, self.integer_matrix))
 
     def __add__(self, other: SkewForm) -> SkewForm:
-        return SkewForm(self.matrix + other.matrix)
+        if self.dim != other.dim:
+            raise ValueError("shape mismatch in skew form sum")
+        s, t = self.scale, other.scale
+        rows = [[t * x + s * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.integer_matrix, other.integer_matrix)]
+        return SkewForm._from_integers(rows, s * t)
 
-    def scaled(self, c) -> SkewForm:
-        return SkewForm(self.matrix.scaled(c))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Flag:
     """A complete flag V_1 ⊂ ... ⊂ V_m given by an invertible basis matrix.
 
-    The j-th flag step is spanned by the first j columns.
+    The j-th flag step is spanned by the first j columns.  The flag is stored
+    as ``integer_columns``: column a times ``scales[a]``, the lcm of its own
+    denominators.  The pair is canonical, so equal basis matrices give equal
+    flags and hashes.  A positive scaling of a basis vector changes no flag
+    step, so the integer primitives all read these columns.
+    ``basis_matrix`` is built on first read.
+
+    ``Flag(basis_matrix)`` takes a ``Matrix`` and checks that it is square
+    and invertible.
     """
 
-    basis_matrix: Matrix
+    integer_columns: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
 
-    def __post_init__(self):
-        m = self.basis_matrix.rows
-        if self.basis_matrix.cols != m:
+    def __init__(self, basis_matrix: Matrix):
+        m = basis_matrix.rows
+        if basis_matrix.cols != m:
             raise ValueError("flag basis matrix must be square")
-        standard = self.basis_matrix == Matrix.identity(m)
-        if not standard and self.basis_matrix.rank() != m:
+        columns = basis_matrix.transpose().entries
+        scales = tuple(map(denominator_lcm, columns))
+        cols = tuple(map(tuple, integer_rows(columns)))
+        standard = scales == (1,) * m and cols == Subspace.full(m).rows
+        if not standard and len(_rref_int_rows([list(col) for col in cols])) != m:
             raise ValueError("flag basis matrix must be invertible")
+        object.__setattr__(self, "integer_columns", cols)
+        object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "_standard", standard)
+
+    @cached_property
+    def basis_matrix(self) -> Matrix:
+        """The basis matrix as Fractions, one flag basis vector per column."""
+        return Matrix(zip(*([Fraction(x, k) for x in col] for col, k in zip(self.integer_columns, self.scales))))
 
     @property
     def dim(self) -> int:
-        return self.basis_matrix.rows
+        return len(self.integer_columns)
 
     @classmethod
     def standard(cls, dim: int) -> Flag:
@@ -128,21 +166,12 @@ class Flag:
         """The a-th flag basis vector (0-based)."""
         return self.basis_matrix.column(a)
 
-    @cached_property
-    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The flag basis vectors, each scaled by the lcm of its own denominators.
-
-        A positive scaling of a basis vector changes no flag step, so the
-        integer primitives all read these columns.
-        """
-        return tuple(map(tuple, integer_rows(self.basis_matrix.transpose().entries)))
-
     def subspace(self, j: int) -> Subspace:
         """The flag step V_j (0 <= j <= m)."""
         if not 0 <= j <= self.dim:
             raise ValueError(f"flag step {j} out of range")
         if self._standard:
-            return Subspace._from_canonical(self.dim, Subspace.full(self.dim).rows[:j], tuple(range(j)))
+            return Subspace._from_canonical(self.dim, self.integer_columns[:j], tuple(range(j)))
         return Subspace._span(self.dim, [list(col) for col in self.integer_columns[:j]])
 
     def embed(self, j: int, sub: Subspace) -> Subspace:
@@ -153,17 +182,10 @@ class Flag:
             # Zero-padding preserves the canonical form.
             pad = (0,) * (self.dim - j)
             return Subspace._from_canonical(self.dim, tuple(row + pad for row in sub.rows), sub.pivots)
-        cols = [self.column(a) for a in range(j)]
-        vectors = []
-        for row in sub.basis:
-            vec = [Fraction(0)] * self.dim
-            for a, coeff in enumerate(row):
-                if coeff:
-                    col = cols[a]
-                    for t in range(self.dim):
-                        vec[t] += coeff * col[t]
-            vectors.append(vec)
-        return Subspace.from_vectors(self.dim, vectors)
+        # Column a is integer_columns[a] / scales[a]; scale all to a common multiple.
+        common = lcm(*self.scales[:j])
+        cols = [[common // k * x for x in col] for col, k in zip(self.integer_columns[:j], self.scales)]
+        return _span_in_ambient(self.dim, sub.rows, cols)
 
 
 @dataclass(frozen=True)
@@ -214,20 +236,25 @@ def b_perp(b: SkewForm, s: Subspace) -> Subspace:
 
 def null_space(b: SkewForm) -> Subspace:
     """The radical N(B) = {w : B(v, w) = 0 for all v}."""
-    return kernel(b.matrix)
+    return kernel(b.integer_matrix)
 
 
 def restrict(b: SkewForm, flag: Flag, j: int) -> SkewForm:
-    """The form B restricted to V_j, in the coordinates of the flag basis."""
+    """The form B restricted to V_j, in the coordinates of the flag basis.
+
+    ``_integer_gram`` holds s k_a k_c B(p_a, p_c), for the form's scale s and
+    the column scales k; with K = lcm(k_a), entry (a, c) is that times
+    (K / k_a)(K / k_c), over s K².
+    """
     if not 1 <= j <= flag.dim:
         raise ValueError(f"flag step {j} out of range 1..{flag.dim}")
-    if b.dim != flag.dim:
-        raise ValueError("form and flag dimensions differ")
-    if flag.is_standard():
-        return SkewForm(Matrix([row[:j] for row in b.matrix.entries[:j]]))
-    cols = [flag.column(a) for a in range(j)]
-    images = [b.matrix.apply(c) for c in cols]
-    return SkewForm(Matrix([[dot(cols[a], images[c]) for c in range(j)] for a in range(j)]))
+    gram, _ = _integer_gram(b, flag)
+    scales = flag.scales[:j]
+    common = lcm(*scales)
+    factors = [common // k for k in scales]
+    # zip stops at j, so this is the leading j x j block.
+    rows = [[fa * fc * x for fc, x in zip(factors, row)] for fa, row in zip(factors, gram)]
+    return SkewForm._from_integers(rows, b.scale * common * common)
 
 
 def _integer_gram(
@@ -300,6 +327,13 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     return ups, dims
 
 
+def _span_in_ambient(m: int, vectors: list[list[int]], cols: Sequence[Sequence[int]] | None) -> Subspace:
+    """The span in Q^m of integer vectors in the coordinates of ``_integer_gram``'s columns."""
+    if cols is not None:
+        vectors = [[sum(map(mul, x, row)) for row in zip(*cols)] for x in vectors]
+    return Subspace._span(m, vectors)
+
+
 def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
     """The canonical Lagrangian selection N(B|V_1) + ... + N(B|V_m).
 
@@ -310,10 +344,7 @@ def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
     if flag is None:
         flag = Flag.standard(b.dim)
     gram, cols = _integer_gram(b, flag)
-    ups, _ = _sweep(gram)
-    if cols is not None:
-        ups = [[sum(map(mul, x, row)) for row in zip(*cols)] for x in ups]
-    return Subspace.from_vectors(b.dim, ups)
+    return _span_in_ambient(b.dim, _sweep(gram)[0], cols)
 
 
 def signature_vector(b: SkewForm, flag: Flag | None = None) -> SignatureVector:

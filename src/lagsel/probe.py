@@ -14,19 +14,21 @@ are labeled evidence, never theorems: a run can witness a discontinuity
 shrinking to zero), but cannot prove the latter.
 
 ``projector_sum_range_check`` is the one exact check living here: the range
-of a sum of the (rational, Gram-based) orthogonal projectors of several
-subspaces must equal the subspace sum.
+of a sum of the orthogonal projectors of several subspaces must equal the
+subspace sum.  It runs on integers, summing a positive integer multiple of
+each projector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
+from operator import mul
 from random import Random
 from typing import Callable, Sequence
 
-from .linalg import Matrix, Subspace, solve
+from .linalg import Subspace, _rref_int_rows
 from .presymplectic import Flag, SignatureVector, SkewForm, null_space, signature_vector, vergne_select
 from .schubert import JumpSet, jump_indices
 
@@ -51,7 +53,10 @@ class FloatSubspace:
 
     @classmethod
     def from_subspace(cls, sub: Subspace) -> FloatSubspace:
-        vectors = [[float(x) for x in row] for row in sub.basis]
+        try:
+            vectors = [[float(x) for x in row] for row in sub.basis]
+        except OverflowError as exc:
+            raise ValueError(f"subspace basis entry out of float range: {exc}") from exc
         return cls(sub.ambient_dim, tuple(_orthonormalize(vectors)))
 
     @property
@@ -154,34 +159,40 @@ def gap(w1: Subspace, w2: Subspace) -> float:
     return spectral_norm(diff)
 
 
-def exact_projector(sub: Subspace) -> Matrix:
-    """The orthogonal projector onto the subspace, exact over Q.
+def _scaled_projector(sub: Subspace) -> list[list[int]]:
+    """A positive integer multiple L P of the orthogonal projector P onto sub.
 
-    With basis rows A, the projector is Aᵀ (A Aᵀ)⁻¹ A; the Gram matrix is
-    invertible because canonical basis rows are independent.
+    With the independent integer basis rows A and G = A Aᵀ, P = Aᵀ G⁻¹ A.
+    One elimination of [G | A] leaves rows [d_i e_i | X_i], X_i = d_i (G⁻¹ A)_i,
+    so with L the lcm of the d_i, L G⁻¹ A and L P are integral.
     """
-    m = sub.ambient_dim
-    if sub.is_zero():
-        return Matrix.zero(m, m)
-    a = sub.basis_matrix()
-    gram = a @ a.transpose()
-    return a.transpose() @ solve(gram, a)
+    a = sub.rows
+    k = len(a)
+    rows = [[sum(map(mul, u, v)) for v in a] + list(u) for u in a]
+    _rref_int_rows(rows)
+    scale = lcm(*(row[i] for i, row in enumerate(rows)))
+    scaled = [[scale // row[i] * x for x in row[k:]] for i, row in enumerate(rows)]
+    return [[sum(map(mul, u, v)) for v in zip(*scaled)] for u in zip(*a)]
 
 
 def projector_sum_range_check(subspaces: Sequence[Subspace]) -> bool:
-    """Exact check: range(P_1 + ... + P_n) equals S_1 + ... + S_n."""
+    """Exact check: range(P_1 + ... + P_n) equals S_1 + ... + S_n.
+
+    Summing positive multiples L_i P_i keeps the range: the P_i are positive semidefinite.
+    """
     if not subspaces:
         raise ValueError("need at least one subspace")
     m = subspaces[0].ambient_dim
-    total = Matrix.zero(m, m)
+    total = [[0] * m for _ in range(m)]
     expected = Subspace.zero(m)
     for sub in subspaces:
         if sub.ambient_dim != m:
             raise ValueError("subspaces live in different ambient spaces")
-        total = total + exact_projector(sub)
+        if sub.rows:
+            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, _scaled_projector(sub))]
         expected = expected + sub
     # The sum of symmetric matrices is symmetric, so its range is its row space.
-    return Subspace.from_vectors(m, total.entries) == expected
+    return Subspace._span(m, total) == expected
 
 
 @dataclass(frozen=True)

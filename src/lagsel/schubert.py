@@ -40,9 +40,10 @@ from .presymplectic import (
     SkewForm,
     _integer_gram,
     _primitive,
+    _span_in_ambient,
+    _sweep,
     b_perp,
     null_space,
-    signature_vector,
     vergne_select,
 )
 
@@ -134,7 +135,11 @@ def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     """
     if flag is None:
         flag = Flag.standard(b.dim)
-    gram, cols = _integer_gram(b, flag)
+    return _filtration(b, *_integer_gram(b, flag))
+
+
+def _filtration(b: SkewForm, gram, cols) -> FiltrationTrace:
+    """``filtration`` on the Gram matrix and columns from ``_integer_gram``."""
     p_rows = None if cols is None else list(zip(*cols))
     m = b.dim
 
@@ -248,10 +253,14 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     def ctx() -> str:
         return f"B={[[str(x) for x in row] for row in b.matrix.entries]}, flag={[[str(x) for x in row] for row in flag.basis_matrix.entries]}"
 
-    trace = filtration(b, flag)
+    # One Gram matrix for the filtration, one sweep for selection and signature.
+    gram, cols = _integer_gram(b, flag)
+    trace = _filtration(b, gram, cols)
     d = trace.d
     steps = _flag_steps(flag)
-    selection = vergne_select(b, flag)
+    ups, dims = _sweep(gram)
+    selection = _span_in_ambient(m, ups, cols)
+    sig = SignatureVector(m, tuple(dims))
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)
@@ -322,7 +331,6 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
         lambda: f"|jump N|={len(jump_n)}, |jump sel|={len(jump_p)}, d={d} [{ctx()}]",
     )
 
-    sig = signature_vector(b, flag)
     try:
         derived = cell_to_signature(jump_p)
         check(

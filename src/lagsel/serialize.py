@@ -79,11 +79,10 @@ def _check_index(index: Any, field: str) -> None:
 
 def skew_form_to_json(form: SkewForm) -> dict:
     upper = []
-    for i in range(form.dim):
+    for i, row in enumerate(form.integer_matrix):
         for j in range(i + 1, form.dim):
-            v = form.matrix.entry(i, j)
-            if v:
-                upper.append([i + 1, j + 1, rational_to_str(v)])
+            if row[j]:
+                upper.append([i + 1, j + 1, rational_to_str(Fraction(row[j], form.scale))])
     return {"dim": form.dim, "upper": upper}
 
 

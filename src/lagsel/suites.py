@@ -164,9 +164,7 @@ def _axb_region_samples(rng: Random, built: BuiltinAlgebra, per_region: int):
                     yield "region pairing nonzero", xi
                     break
         # A random functional annihilating the derived algebra.
-        ann = (
-            kernel(Matrix(derived.basis)) if not derived.is_zero() else Subspace.full(m)
-        )
+        ann = kernel(derived.rows) if not derived.is_zero() else Subspace.full(m)
         combo = [Fraction(0)] * m
         for row in ann.basis:
             c = random_rational(rng, 3, 3)

@@ -364,3 +364,28 @@ def test_probe_spec_rejects_non_list_samples(tmp_path, capsys):
     code, _, err = run(capsys, "probe", write_json(tmp_path, "spec.json", spec))
     assert code == 1
     assert err == "error: 'samples' must be a list\n"
+
+
+def test_probe_basis_entry_out_of_float_range_exits_1(tmp_path, capsys):
+    # The selection's RREF basis has an entry near 10^400, beyond any float.
+    spec = {
+        "algebra": "g54",
+        "base": ["1" + "0" * 400, "1", "0", "0", "0"],
+        "direction": ["0", "1", "0", "0", "0"],
+        "samples": ["1/2", "1/4"],
+    }
+    code, out, err = run(capsys, "probe", write_json(tmp_path, "spec.json", spec))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: subspace basis entry out of float range") and err.count("\n") == 1
+
+
+def test_failed_internal_recheck_exits_2_with_one_line(capsys, monkeypatch):
+    # A radical that is not a subalgebra ([X5, X4] = X3) fails isotropy_subalgebra's re-check.
+    from lagsel import lie
+
+    monkeypatch.setattr(lie, "null_space", lambda form: Subspace.from_vectors(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]))
+    code, out, err = run(capsys, "vergne", "g54", "--xi=1,0,0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "check failed: isotropy space is not a subalgebra: internal bug\n"

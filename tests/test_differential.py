@@ -70,8 +70,8 @@ def annihilator_intersect(s1, s2):
     S's basis matrix.
     """
     m = s1.ambient_dim
-    ann1 = kernel(s1.basis_matrix() if s1.basis else Matrix.zero(1, m))
-    ann2 = kernel(s2.basis_matrix() if s2.basis else Matrix.zero(1, m))
+    ann1 = kernel(Matrix(s1.basis) if s1.basis else Matrix.zero(1, m))
+    ann2 = kernel(Matrix(s2.basis) if s2.basis else Matrix.zero(1, m))
     if not (ann1.basis or ann2.basis):
         return Subspace.full(m)
     return kernel(Matrix(ann1.basis + ann2.basis))

@@ -15,7 +15,7 @@ import pytest
 
 from lagsel.lie import Functional, JacobiError, LieAlgebra, builtin, coadjoint_form, isotropy_subalgebra, vergne_polarization
 from lagsel.linalg import Matrix, Subspace
-from lagsel.presymplectic import Flag, is_isotropic
+from lagsel.presymplectic import Flag, SkewForm, is_isotropic
 from lagsel.sampling import random_nonzero_rational, random_subspace, random_vector
 
 
@@ -157,9 +157,15 @@ def test_bracket_matches_oracle(name):
 def test_coadjoint_form_matches_oracle(name):
     algebra, table, _ = load(name)
     rng = Random("xi:" + name)
-    for _ in range(30):
-        xi = random_vector(rng, algebra.dim)
-        assert coadjoint_form(algebra, Functional.of(xi)).matrix.entries == oracle_coadjoint(table, xi)
+    # Integer multiples of the algebra's scale make the integer form's entries
+    # share a factor with its scale, which the form must cancel.
+    scaled = [[algebra._scale * (t == a) for t in range(algebra.dim)] for a in range(algebra.dim)]
+    for xi in scaled + [random_vector(rng, algebra.dim) for _ in range(30)]:
+        form = coadjoint_form(algebra, Functional.of(xi))
+        assert form.matrix.entries == oracle_coadjoint(table, xi)
+        assert all(type(x) is int for row in form.integer_matrix for x in row)
+        expected = SkewForm(Matrix(oracle_coadjoint(table, xi)))
+        assert form == expected and hash(form) == hash(expected)
 
 
 def _test_subspaces(rng, algebra, built):

@@ -13,7 +13,6 @@ from lagsel.linalg import (
     intersect,
     kernel,
     rref,
-    solve,
     subspace_sum,
 )
 from lagsel.sampling import random_subspace, random_vector
@@ -170,24 +169,6 @@ def test_rank_nullity():
         mat = Matrix([random_vector(rng, cols) for _ in range(rows)])
         _, pivots = rref(mat)
         assert len(pivots) + kernel(mat).dim == cols
-
-
-def test_solve_round_trip():
-    rng = Random(47)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        while True:
-            a = Matrix([random_vector(rng, n, zero_chance=0.2) for _ in range(n)])
-            if a.rank() == n:
-                break
-        k = rng.randint(1, 3)
-        rhs = Matrix([random_vector(rng, k) for _ in range(n)])
-        assert a @ solve(a, rhs) == rhs
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(ValueError):
-        solve(Matrix([[1, 2], [2, 4]]), Matrix.identity(2))
 
 
 def test_as_rational_rejects_floats():

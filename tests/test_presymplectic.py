@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from lagsel.linalg import MAX_DIM, Matrix, Subspace
+from lagsel.linalg import MAX_DIM, Matrix, Subspace, dot
 from lagsel.presymplectic import (
     Flag,
     SignatureVector,
@@ -18,7 +18,7 @@ from lagsel.presymplectic import (
     signature_vector,
     vergne_select,
 )
-from lagsel.sampling import random_flag, random_skew_form, random_subspace
+from lagsel.sampling import random_flag, random_rational, random_skew_form, random_subspace
 from lagsel.schubert import jump_indices
 
 
@@ -36,6 +36,77 @@ def test_skew_form_rejects_non_skew_matrix():
         SkewForm(Matrix([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         SkewForm(Matrix([[1, 0], [0, 0]]))
+    with pytest.raises(ValueError):
+        SkewForm(Matrix([[0, 1, 2]]))
+    with pytest.raises(ValueError):
+        SkewForm.zero(2) + SkewForm.zero(3)
+
+
+def _stores_integers(form):
+    return type(form.scale) is int and all(type(x) is int for row in form.integer_matrix for x in row)
+
+
+def test_skew_form_round_trips_its_matrix():
+    rng = Random(41)
+    matrices = [[], [[0]], [[0, "1/2"], ["-1/2", 0]], [[0, "2/3", 0], ["-2/3", 0, "5/4"], [0, "-5/4", 0]]]
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        matrices.append(random_skew_form(rng, m).matrix.entries)
+    scales = set()
+    for rows in matrices:
+        form = SkewForm(Matrix(rows))
+        assert _stores_integers(form)
+        assert form.matrix == Matrix(rows)
+        assert form.dim == len(rows)
+        # A form built from the integers alone rebuilds the same matrix.
+        rebuilt = SkewForm._from_integers(form.integer_matrix, form.scale)
+        assert rebuilt.matrix == Matrix(rows) and rebuilt == form
+        scales.add(form.scale)
+    assert null_space(SkewForm(Matrix([]))) == Subspace.full(0)
+    assert max(scales) > 1
+
+
+def test_skew_form_equality_and_hash_agree_across_constructors():
+    rng = Random(43)
+    for _ in range(60):
+        m = rng.randint(0, 6)
+        pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+        upper = {pair: random_rational(rng) for pair in pairs if rng.random() < 0.6}
+        whole = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in upper.items()])
+        cut = rng.randint(0, len(upper))
+        items = list(upper.items())
+        first = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in items[:cut]])
+        rest = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in items[cut:]])
+        halves = SkewForm.from_upper_entries(m, [(i, j, v / 2) for (i, j), v in upper.items()])
+        same = [whole, SkewForm(Matrix(whole.matrix.entries)), first + rest, halves + halves]
+        for form in same:
+            assert _stores_integers(form)
+            assert form == whole and hash(form) == hash(whole)
+        assert (whole == SkewForm.zero(m)) == (not upper)
+        if upper:
+            assert whole + whole != whole
+
+
+def test_flag_round_trips_its_basis_matrix(rational_flag):
+    rng = Random(47)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        flag = rational_flag(rng, m) if rng.random() < 0.5 else random_flag(rng, m)
+        p = flag.basis_matrix
+        again = Flag(Matrix(p.entries))
+        assert again.basis_matrix == p
+        assert all(type(x) is int for col in again.integer_columns for x in col)
+        assert again == flag and hash(again) == hash(flag)
+        # Scaling a column keeps every flag step but changes the matrix.
+        a = rng.randrange(m)
+        c = rng.choice([2, Fraction(1, 3), -1])
+        scaled = Matrix([[x * c if t == a else x for t, x in enumerate(row)] for row in p.entries])
+        assert Flag(scaled) != flag
+        assert all(Flag(scaled).subspace(j) == flag.subspace(j) for j in range(m + 1))
+    assert Flag(Matrix.identity(3)) == Flag.standard(3) and Flag(Matrix.identity(3)).is_standard()
+    half = Flag(Matrix([["1/2", 0], [0, 1]]))
+    assert half != Flag.standard(2) and not half.is_standard()
+    assert Flag(Matrix([])).basis_matrix == Matrix([])
 
 
 def test_from_upper_entries_materializes_skewness():
@@ -235,15 +306,20 @@ def test_flag_steps_nest():
         assert flag.subspace(j).contains(flag.subspace(j - 1))
 
 
-def test_restrict_matches_gram_of_flag_columns():
+def test_restrict_matches_gram_of_flag_columns(rational_flag):
     rng = Random(19)
-    for _ in range(20):
+    for n in range(60):
         m = rng.randint(1, 6)
         form = random_skew_form(rng, m)
-        flag = random_flag(rng, m)
+        flag = (random_flag, rational_flag)[n % 2](rng, m)
+        if n % 10 == 9:
+            # Diagonal flag: the standard flag's steps, with rational columns.
+            flag = Flag(Matrix([[random_rational(rng, 4, 5) or 1 if i == j else 0 for j in range(m)] for i in range(m)]))
         j = rng.randint(1, m)
         cols = [flag.column(a) for a in range(j)]
-        expected = [[form.value(u, v) for v in cols] for u in cols]
+        # B(u, v) = u^T M v on the Fraction matrix M, sharing no code with restrict.
+        images = [[dot(row, v) for row in form.matrix.entries] for v in cols]
+        expected = [[dot(u, image) for image in images] for u in cols]
         assert restrict(form, flag, j).matrix == Matrix(expected)
 
 

@@ -7,11 +7,11 @@ from random import Random
 import pytest
 
 from lagsel.lie import Functional, builtin, coadjoint_form
-from lagsel.linalg import Matrix, Subspace
+from lagsel.linalg import Matrix, Subspace, rref
 from lagsel.presymplectic import Flag, SkewForm
 from lagsel.probe import (
     FloatSubspace,
-    exact_projector,
+    _scaled_projector,
     functional_path_probe,
     gap,
     jacobi_eigenvalues,
@@ -21,8 +21,37 @@ from lagsel.probe import (
     rank_semicontinuity_probe,
     spectral_norm,
 )
-from lagsel.sampling import random_skew_form, random_subspace
+from lagsel.sampling import random_rational, random_skew_form, random_subspace
 from lagsel.suites import PROBE_PRESETS, preset_samples
+
+
+def matmul(a, b):
+    """The product of two matrices given as sequences of rows."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
+def solve(a, rhs):
+    """Solve A X = RHS for square invertible A, exactly, from the RREF of [A | RHS]."""
+    n = len(a)
+    reduced, pivots = rref(Matrix([list(ra) + list(rb) for ra, rb in zip(a, rhs)]))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return [list(row[n:]) for row in reduced.entries]
+
+
+def exact_projector(sub):
+    """The orthogonal projector Aᵀ (A Aᵀ)⁻¹ A onto the subspace, as Fraction rows.
+
+    The oracle for the library's integer projectors: Fraction arithmetic on
+    the RREF basis A, sharing no code with ``lagsel.probe``.
+    """
+    m = sub.ambient_dim
+    if sub.is_zero():
+        return [[Fraction(0)] * m for _ in range(m)]
+    a = [list(row) for row in sub.basis]
+    at = [list(col) for col in zip(*a)]
+    return matmul(at, solve(matmul(a, at), a))
 
 
 def test_projector_of_axis():
@@ -107,18 +136,19 @@ def _rational_rotation(m, i, j, c, s):
     rows[j][j] = c
     rows[i][j] = -s
     rows[j][i] = s
-    return Matrix(rows)
+    return rows
 
 
 def _rotate(sub, q):
-    return Subspace.from_vectors(sub.ambient_dim, [q.apply(v) for v in sub.basis])
+    return Subspace.from_vectors(sub.ambient_dim, matmul(sub.basis, [list(col) for col in zip(*q)]))
 
 
 def test_gap_pseudometric_and_orthogonal_invariance():
     rng = Random(17)
     # 3-4-5 and 5-12-13 rotations are exactly orthogonal over the rationals.
-    q = _rational_rotation(4, 0, 2, Fraction(3, 5), Fraction(4, 5)) @ _rational_rotation(
-        4, 1, 3, Fraction(5, 13), Fraction(12, 13)
+    q = matmul(
+        _rational_rotation(4, 0, 2, Fraction(3, 5), Fraction(4, 5)),
+        _rational_rotation(4, 1, 3, Fraction(5, 13), Fraction(12, 13)),
     )
     for _ in range(15):
         dim = rng.randint(1, 3)
@@ -140,8 +170,8 @@ def test_exact_projector_is_idempotent_symmetric():
     for _ in range(15):
         s = random_subspace(rng, 4)
         p = exact_projector(s)
-        assert p == p.transpose()
-        assert p @ p == p
+        assert p == [list(col) for col in zip(*p)]
+        assert matmul(p, p) == p
 
 
 def test_projector_sum_of_axes():
@@ -160,6 +190,49 @@ def test_projector_sum_random_triples():
     for _ in range(60):
         subs = [random_subspace(rng, 5) for _ in range(3)]
         assert projector_sum_range_check(subs)
+
+
+def _positive_multiple(scaled, exact):
+    """True iff the integer matrix is c times the Fraction matrix for some c > 0."""
+    ratio = next(Fraction(x) / y for x, y in zip(sum(scaled, []), sum(exact, [])) if y)
+    return ratio > 0 and all(x == ratio * y for r1, r2 in zip(scaled, exact) for x, y in zip(r1, r2))
+
+
+def projector_cases():
+    """Criterion 7's 500 tuples, then 300 whose sum is a proper subspace of Q^5."""
+    rng = Random(20240817 + 5)  # run_projector_sum's draw at criterion 7's seed
+    for _ in range(500):
+        count = rng.randint(2, 4)
+        yield [random_subspace(rng, 5) for _ in range(count)]
+    rng = Random(53)
+    for n in range(300):
+        # Members span random vectors of a common subspace of dimension 0..4.
+        inside = [[random_rational(rng, 3, 3) for _ in range(5)] for _ in range(n % 5)]
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            gens = [
+                [sum((rng.randint(-2, 2) * row[t] for row in inside), Fraction(0)) for t in range(5)]
+                for _ in range(rng.randint(0, 3))
+            ]
+            members.append(Subspace.from_vectors(5, gens))
+        yield members
+
+
+def test_projector_sum_range_check_matches_fraction_oracle():
+    deficient = 0
+    for subs in projector_cases():
+        # The oracle verdict: range(P_1 + ... + P_n) == S_1 + ... + S_n with Fraction projectors.
+        total = [[Fraction(0)] * 5 for _ in range(5)]
+        expected = Subspace.zero(5)
+        for sub in subs:
+            exact = exact_projector(sub)
+            if sub.rows:
+                assert _positive_multiple(_scaled_projector(sub), exact)
+            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, exact)]
+            expected = expected + sub
+        assert projector_sum_range_check(subs) == (Subspace.from_vectors(5, total) == expected)
+        deficient += not expected.is_full()
+    assert deficient >= 300
 
 
 def test_path_probe_discontinuity_preset():
@@ -204,11 +277,9 @@ def test_path_probe_g615_discontinuity():
 
 
 def test_path_probe_on_raw_forms():
-    # Interpolate between two forms on Q^2; selection flips at t = 0.
-    b0 = SkewForm.from_upper_entries(2, [(1, 2, 1)])
-
+    # The forms t * e1^e2 on Q^2; the selection flips at t = 0.
     def form_at(t):
-        return b0.scaled(t)
+        return SkewForm.from_upper_entries(2, [(1, 2, t)])
 
     report = path_probe(form_at, Flag.standard(2), [Fraction(1, 2**i) for i in range(1, 6)], Fraction(0))
     # At t=0 the form vanishes and the selection is the whole plane; at t>0

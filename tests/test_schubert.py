@@ -268,6 +268,29 @@ def test_filtration_makes_no_intersect_and_at_most_two_eliminations_per_step(rat
     assert steps > 500
 
 
+def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, monkeypatch):
+    from lagsel import presymplectic
+
+    calls = {"gram": 0, "sweep": 0}
+    gram, sweep = presymplectic._integer_gram, presymplectic._sweep
+
+    def counted_gram(b, flag):
+        calls["gram"] += 1
+        return gram(b, flag)
+
+    def counted_sweep(g):
+        calls["sweep"] += 1
+        return sweep(g)
+
+    for module in (presymplectic, schubert):
+        monkeypatch.setattr(module, "_integer_gram", counted_gram)
+        monkeypatch.setattr(module, "_sweep", counted_sweep)
+    for form, flag in filtration_cases(rational_flag, 60, 41):
+        calls.update(gram=0, sweep=0)
+        assert verify_filtration_lemmas(form, flag).ok
+        assert calls == {"gram": 1, "sweep": 1}
+
+
 def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
     rng = Random(5)
     form, flag = random_skew_form(rng, 5, zero_chance=0.0), random_flag(rng, 5)
@@ -284,13 +307,14 @@ def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
     # One sum per step for its check; none more for a witness nobody reads.
     assert len(sums) == filtration(form, flag).d == 2
 
-    original = schubert.vergne_select
+    original = schubert._span_in_ambient
 
-    def dropped_row(b, flag=None):
-        selection = original(b, flag)
+    def dropped_row(m, vectors, cols):
+        selection = original(m, vectors, cols)
         return Subspace(selection.ambient_dim, selection.basis[:-1], selection.pivots[:-1])
 
-    monkeypatch.setattr(schubert, "vergne_select", dropped_row)
+    # The verifier maps the sweep's up-step vectors to the selection here.
+    monkeypatch.setattr(schubert, "_span_in_ambient", dropped_row)
     report = verify_filtration_lemmas(form, flag)
     failed = {c.name: c.witness for c in report.failures()}
     witness = failed["chain ends at the flag selection"]
