@@ -2,9 +2,10 @@
 
 Exit codes follow a fixed contract: 0 for success, 1 for invalid input
 (malformed JSON, failed preconditions, unknown names), 2 when a verification
-check fails; the last one only ever fires on a bug, so CI can tell user
-error from broken math.  ``--json`` switches every subcommand to a
-machine-readable payload; all output is deterministic given inputs and seed.
+check fails or any other exception escapes a handler; the last one only ever
+fires on a bug, so CI can tell user error from broken math.  ``--json``
+switches every subcommand to a machine-readable payload; all output is
+deterministic given inputs and seed.
 """
 
 from __future__ import annotations
@@ -335,6 +336,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_INPUT
+    except Exception as exc:
+        # The last resort: any other exception is a bug, never bad input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     try:
         _emit(args, payload, lines)
         sys.stdout.flush()

@@ -385,23 +385,15 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
         )
 
 
-def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
-    """The solution space ``{x : Mx = 0}`` in canonical form.
+def _kernel_generators(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """Integer generators of ``{x : Mx = 0}`` for M in ``_rref_int_rows``' reduced shape.
 
-    ``matrix`` is a Matrix or a list of integer rows (an empty list is 0 x 0).  With M
-    reduced, each free column f gives the generator with L at f and
-    ``-M[r][f] * L / M[r][p_r]`` at each pivot p_r, where L is the lcm of the
-    pivot entries; one more elimination makes the generators canonical.
+    With L the lcm of the pivot entries ``M[r][p_r]``, each non-pivot column f
+    gives the generator with L at f and ``-M[r][f] * L / M[r][p_r]`` at each
+    pivot p_r, zero elsewhere.  Each vanishes on every row of M, and they are
+    independent, since only the f-th one is nonzero at f.  Read as
+    functionals, those of a subspace's canonical rows span its annihilator.
     """
-    if isinstance(matrix, Matrix):
-        ncols, rows = matrix.cols, integer_rows(matrix.entries)
-    else:
-        ncols, rows = len(matrix[0]) if matrix else 0, [list(row) for row in matrix]
-    pivots = _rref_int_rows(rows)
-    if not pivots:
-        return Subspace.full(ncols)
-    if len(pivots) == ncols:
-        return Subspace.zero(ncols)
     scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     factors = [(p, row, scale // row[p]) for row, p in zip(rows, pivots)]
     pivot_set = set(pivots)
@@ -414,7 +406,26 @@ def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
         for p, row, k in factors:
             v[p] = -row[f] * k
         gens.append(v)
-    return Subspace._span(ncols, gens)
+    return gens
+
+
+def kernel(matrix: Matrix | Sequence[Sequence[int]]) -> Subspace:
+    """The solution space ``{x : Mx = 0}`` in canonical form.
+
+    ``matrix`` is a Matrix or a list of integer rows (an empty list is 0 x 0).
+    M is reduced once, ``_kernel_generators`` reads the generators off the
+    reduced rows, and one more elimination makes them canonical.
+    """
+    if isinstance(matrix, Matrix):
+        ncols, rows = matrix.cols, integer_rows(matrix.entries)
+    else:
+        ncols, rows = len(matrix[0]) if matrix else 0, [list(row) for row in matrix]
+    pivots = _rref_int_rows(rows)
+    if not pivots:
+        return Subspace.full(ncols)
+    if len(pivots) == ncols:
+        return Subspace.zero(ncols)
+    return Subspace._span(ncols, _kernel_generators(rows, pivots, ncols))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

@@ -29,12 +29,14 @@ from random import Random
 from typing import Callable, Sequence
 
 from .linalg import Subspace, _rref_int_rows
-from .presymplectic import Flag, SignatureVector, SkewForm, null_space, signature_vector, vergne_select
+from .presymplectic import Flag, SignatureVector, SkewForm, _integer_gram, _span_in_ambient, _sweep, null_space
 from .schubert import JumpSet, jump_indices
 
 _ORTHO_TOL = 1e-12
 _GAP_CONVERGED = 1e-4
 _GAP_BOUNDED_AWAY = 0.5
+# Basis rows are scaled by powers of two to entries below about 2^(this + 1).
+_ROW_EXPONENT = 500
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,19 @@ class FloatSubspace:
 
     @classmethod
     def from_subspace(cls, sub: Subspace) -> FloatSubspace:
-        try:
-            vectors = [[float(x) for x in row] for row in sub.basis]
-        except OverflowError as exc:
-            raise ValueError(f"subspace basis entry out of float range: {exc}") from exc
+        """Orthonormalize the RREF basis, each row first scaled by a power of two.
+
+        Row i is ``rows[i] / p`` for its pivot entry p, times ``2^-e`` with e
+        the least non-negative integer that keeps its largest entry below
+        about ``2^501``, so no entry or square leaves the float range.  A
+        power of two scales every rounding step of the Gram-Schmidt below
+        exactly, and rows that need no scaling (e = 0) convert as before.
+        """
+        vectors = []
+        for row, c in zip(sub.rows, sub.pivots):
+            p = row[c]
+            e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - _ROW_EXPONENT)
+            vectors.append([float(Fraction(x, p << e)) for x in row])
         return cls(sub.ambient_dim, tuple(_orthonormalize(vectors)))
 
     @property
@@ -153,8 +164,11 @@ def gap(w1: Subspace, w2: Subspace) -> float:
     """
     if w1.ambient_dim != w2.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    p1 = projector(w1)
-    p2 = projector(w2)
+    return _projector_gap(projector(w1), projector(w2))
+
+
+def _projector_gap(p1: list[list[float]], p2: list[list[float]]) -> float:
+    """The spectral norm of ``p1 - p2``, for two projectors of one ambient space."""
     diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
     return spectral_norm(diff)
 
@@ -234,25 +248,25 @@ def path_probe(
     """Sample the flag selection along a path of forms.
 
     Selections, strata and cells are computed exactly at every sample; only
-    the gap against the selection at ``t_star`` is floating point.
+    the gap against the selection at ``t_star`` is floating point.  Each
+    form takes one Gram matrix and one sweep, and the projector onto the
+    ``t_star`` selection is built once.
     """
-    b_star = form_at(t_star)
-    p_star = vergne_select(b_star, flag)
+    p_star, sig_star = _selection_and_signature(form_at(t_star), flag)
+    proj_star = projector(p_star)
     records = []
     for t in samples:
-        b = form_at(t)
-        p = vergne_select(b, flag)
-        records.append(
-            PathSample(t, gap(p, p_star), signature_vector(b, flag), jump_indices(p, flag))
-        )
+        p, sig = _selection_and_signature(form_at(t), flag)
+        records.append(PathSample(t, _projector_gap(projector(p), proj_star), sig, jump_indices(p, flag)))
     records_t = tuple(records)
-    return PathProbeReport(
-        t_star,
-        signature_vector(b_star, flag),
-        jump_indices(p_star, flag),
-        records_t,
-        _verdict(records_t, t_star),
-    )
+    return PathProbeReport(t_star, sig_star, jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
+
+
+def _selection_and_signature(b: SkewForm, flag: Flag) -> tuple[Subspace, SignatureVector]:
+    """``vergne_select(b, flag)`` and ``signature_vector(b, flag)`` from one sweep."""
+    gram, cols = _integer_gram(b, flag)
+    ups, dims = _sweep(gram)
+    return _span_in_ambient(b.dim, ups, cols), SignatureVector(flag.dim, tuple(dims))
 
 
 def affine_functional_path(base: Sequence, direction: Sequence):

@@ -33,7 +33,7 @@ from functools import cache
 from operator import mul
 from typing import Callable
 
-from .linalg import Subspace, _rref_int_rows, check_dim, contains, intersect, kernel
+from .linalg import Subspace, _kernel_generators, _rref_int_rows, check_dim, contains, intersect, kernel
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -82,17 +82,29 @@ def _flag_steps(flag: Flag) -> list[Subspace]:
 def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
     """The jump set of W relative to the flag; its size is codim W.
 
-    j is a jump exactly when the flag vector p_j is not in W + V_{j-1}, that
-    is, when column p_j is a pivot of the matrix [W^T | P] whose columns are
-    W's basis followed by the flag basis.
+    j is a jump exactly when the flag vector p_j is not in W + V_{j-1}.  The
+    test runs in the quotient Q^m/W.  The generators phi_f of W's
+    annihilator (``_kernel_generators`` on W's canonical rows, one per
+    non-pivot column f) are m - dim W independent functionals vanishing on
+    W, so v -> (phi_f(v))_f has kernel exactly W and is injective on Q^m/W.
+    Hence p_j lies in W + V_{j-1} exactly when column j of A = (phi_f(p_j))
+    lies in the span of the columns before it: the jumps are the pivot
+    columns of A, an (m - dim W) x m elimination.  For the standard flag A is
+    the generators themselves.  W = 0 jumps everywhere and W = Q^m nowhere,
+    with no elimination.
     """
-    if w.ambient_dim != flag.dim:
+    m = flag.dim
+    if w.ambient_dim != m:
         raise ValueError("subspace and flag dimensions differ")
-    # Scaling a column keeps the pivots, so each column is made integral on
-    # its own; a common scale per row would multiply their denominators.
-    rows = [list(row) for row in zip(*(w.rows + flag.integer_columns))]
-    d = w.dim
-    return JumpSet(flag.dim, tuple(c - d + 1 for c in _rref_int_rows(rows) if c >= d))
+    if w.is_zero():
+        return JumpSet(m, tuple(range(1, m + 1)))
+    if w.is_full():
+        return JumpSet(m, ())
+    phis = _kernel_generators(w.rows, w.pivots, m)
+    if not flag.is_standard():
+        # Scaling a column keeps the pivots, so the integer columns serve.
+        phis = [[sum(map(mul, phi, col)) for col in flag.integer_columns] for phi in phis]
+    return JumpSet(m, tuple(c + 1 for c in _rref_int_rows(phis)))
 
 
 @dataclass(frozen=True)

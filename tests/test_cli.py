@@ -366,18 +366,22 @@ def test_probe_spec_rejects_non_list_samples(tmp_path, capsys):
     assert err == "error: 'samples' must be a list\n"
 
 
-def test_probe_basis_entry_out_of_float_range_exits_1(tmp_path, capsys):
-    # The selection's RREF basis has an entry near 10^400, beyond any float.
+@pytest.mark.parametrize("zeros", [200, 400])
+def test_probe_basis_entry_beyond_float_range_gives_a_report(tmp_path, capsys, zeros):
+    # The selection's RREF basis has an entry near 10^zeros: at 200 its square
+    # is beyond any float, at 400 the entry itself is.
     spec = {
         "algebra": "g54",
-        "base": ["1" + "0" * 400, "1", "0", "0", "0"],
+        "base": ["1" + "0" * zeros, "1", "0", "0", "0"],
         "direction": ["0", "1", "0", "0", "0"],
         "samples": ["1/2", "1/4"],
     }
-    code, out, err = run(capsys, "probe", write_json(tmp_path, "spec.json", spec))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: subspace basis entry out of float range") and err.count("\n") == 1
+    code, out, err = run(capsys, "probe", write_json(tmp_path, "spec.json", spec), "--json")
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert [s["t"] for s in payload["samples"]] == ["1/2", "1/4"]
+    assert all(0.0 <= s["gap"] <= 1.0 for s in payload["samples"])
 
 
 def test_failed_internal_recheck_exits_2_with_one_line(capsys, monkeypatch):
@@ -389,3 +393,19 @@ def test_failed_internal_recheck_exits_2_with_one_line(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "check failed: isotropy space is not a subalgebra: internal bug\n"
+
+
+
+def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
+    # A TypeError from a handler is neither bad input nor a failed re-check.
+    from lagsel import cli
+
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "vergne_polarization", broken)
+    code, out, err = run(capsys, "vergne", "g54", "--xi=1,0,0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: TypeError: unsupported operand\n"
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ import pytest
 
 from lagsel.lie import Functional, builtin, coadjoint_form
 from lagsel.linalg import Matrix, Subspace, rref
-from lagsel.presymplectic import Flag, SkewForm
+from lagsel.presymplectic import Flag, SkewForm, signature_vector, vergne_select
 from lagsel.probe import (
     FloatSubspace,
     _scaled_projector,
@@ -21,7 +21,8 @@ from lagsel.probe import (
     rank_semicontinuity_probe,
     spectral_norm,
 )
-from lagsel.sampling import random_rational, random_skew_form, random_subspace
+from lagsel.sampling import random_flag, random_rational, random_skew_form, random_subspace
+from lagsel.schubert import jump_indices
 from lagsel.suites import PROBE_PRESETS, preset_samples
 
 
@@ -285,6 +286,47 @@ def test_path_probe_on_raw_forms():
     # At t=0 the form vanishes and the selection is the whole plane; at t>0
     # the selection is the first axis, at constant gap from the plane.
     assert all(s.gap == pytest.approx(1.0, abs=1e-9) for s in report.samples)
+
+
+def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeypatch):
+    # Every record equals the public per-sample definitions, gap floats
+    # included, from one sweep per form and one projector per selection.
+    from lagsel import probe
+
+    counts = {"sweep": 0, "projector": 0}
+    sweep, build_projector = probe._sweep, probe.projector
+
+    def counted_sweep(gram):
+        counts["sweep"] += 1
+        return sweep(gram)
+
+    def counted_projector(sub):
+        counts["projector"] += 1
+        return build_projector(sub)
+
+    monkeypatch.setattr(probe, "_sweep", counted_sweep)
+    monkeypatch.setattr(probe, "projector", counted_projector)
+    rng = Random(41)
+    samples = [Fraction(1, 2**i) for i in range(1, 5)]
+    for m in (2, 4, 6):
+        flag = random_flag(rng, m)
+        base, direction = random_skew_form(rng, m).matrix, random_skew_form(rng, m).matrix
+
+        def form_at(t):
+            rows = zip(base.entries, direction.entries)
+            return SkewForm(Matrix([[x + t * y for x, y in zip(r, s)] for r, s in rows]))
+
+        counts.update(sweep=0, projector=0)
+        report = path_probe(form_at, flag, samples, Fraction(0))
+        assert counts == {"sweep": len(samples) + 1, "projector": len(samples) + 1}
+        p_star = vergne_select(form_at(Fraction(0)), flag)
+        assert report.star_stratum == signature_vector(form_at(Fraction(0)), flag)
+        assert report.star_cell == jump_indices(p_star, flag)
+        for sample, t in zip(report.samples, samples):
+            p = vergne_select(form_at(t), flag)
+            assert sample.gap == gap(p, p_star)
+            assert sample.stratum == signature_vector(form_at(t), flag)
+            assert sample.cell == jump_indices(p, flag)
 
 
 def test_rank_semicontinuity_zero_form_never_fails():

@@ -188,6 +188,52 @@ def test_jump_indices_match_per_step_oracle(rational_flag):
         assert jump_indices(w, flag).indices == per_step_jump_oracle(w, flag)
 
 
+def test_jump_indices_match_oracle_up_to_m18(rational_flag):
+    # Standard, rational and scrambled flags at m = 0..18, against the
+    # per-step definition; W runs over 0, Q^m, selections, null spaces and
+    # random subspaces, so the quotient map sees every codimension.
+    rng = Random(31)
+    for n in range(228):
+        m = n % 19
+        kind = (n // 19) % 3
+        if kind == 0:
+            flag = Flag.standard(m)
+        elif kind == 1:
+            flag = rational_flag(rng, m)
+        else:
+            flag = random_flag(rng, m)
+        form = random_skew_form(rng, m)
+        for w in (
+            Subspace.zero(m),
+            Subspace.full(m),
+            vergne_select(form, flag),
+            null_space(form),
+            random_subspace(rng, m),
+        ):
+            assert jump_indices(w, flag).indices == per_step_jump_oracle(w, flag)
+
+
+def test_jump_indices_is_one_elimination_in_the_quotient(monkeypatch):
+    # One call reduces the m - dim W annihilator rows once, and W = 0 or
+    # W = Q^m needs no elimination at all.
+    heights = []
+    reduce_rows = schubert._rref_int_rows
+
+    def counted(rows):
+        heights.append(len(rows))
+        return reduce_rows(rows)
+
+    monkeypatch.setattr(schubert, "_rref_int_rows", counted)
+    rng = Random(37)
+    for m in (0, 1, 5, 10, 18):
+        for flag in (Flag.standard(m), random_flag(rng, m)):
+            form = random_skew_form(rng, m)
+            for w in (Subspace.zero(m), Subspace.full(m), vergne_select(form, flag), random_subspace(rng, m)):
+                heights.clear()
+                jump_indices(w, flag)
+                assert heights == ([] if w.dim in (0, m) else [m - w.dim])
+
+
 def test_jump_set_dimension_cap():
     assert len(cell_to_signature(JumpSet(MAX_DIM, ())).entries) == MAX_DIM
     with pytest.raises(ValueError, match="exceeds the limit"):
