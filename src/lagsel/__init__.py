@@ -44,14 +44,12 @@ from .lie import (
     verify_jordan_holder,
 )
 from .probe import (
-    FloatSubspace,
     PathProbeReport,
     functional_path_probe,
     gap,
     path_probe,
     projector,
     projector_sum_range_check,
-    rank_semicontinuity_probe,
 )
 
 __version__ = "0.1.0"
@@ -95,12 +93,10 @@ __all__ = [
     "stratum",
     "vergne_polarization",
     "verify_jordan_holder",
-    "FloatSubspace",
     "PathProbeReport",
     "functional_path_probe",
     "gap",
     "path_probe",
     "projector",
     "projector_sum_range_check",
-    "rank_semicontinuity_probe",
 ]

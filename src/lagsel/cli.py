@@ -23,6 +23,7 @@ from . import serialize
 from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polarization
 from .linalg import Matrix, as_rational
 from .presymplectic import Flag, signature_vector, vergne_select
+from .probe import functional_path_probe
 from .schubert import JumpSet, cell_to_signature, filtration, jump_indices, selection_cell
 from .suites import PROBE_PRESETS, preset_samples, run_suite, suite_names
 
@@ -183,8 +184,6 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_probe(args) -> Outcome:
-    from .probe import functional_path_probe
-
     if args.preset:
         kind, base, direction = PROBE_PRESETS[args.preset]
         built = builtin(kind)

@@ -12,8 +12,9 @@ primitives run on integers without building a ``Fraction``.  Skew forms
 each column scaled on its own) and Lie algebras (integer structure constants)
 follow the same rule, scaled by the lcm of their denominators.  Fractions
 appear only at the boundary: ``Matrix`` entries, ``rref``,
-``Subspace.basis``, ``LieAlgebra.table``, ``SkewForm.matrix``,
-``Flag.basis_matrix`` and ``Flag.column``.
+``Subspace.basis``, ``Functional`` coefficients, ``LieAlgebra.table`` and
+``LieAlgebra.bracket``, ``SkewForm.matrix``, ``Flag.basis_matrix`` and
+``Flag.column``.
 
 Every elimination goes through one routine, ``_rref_int_rows``: fraction-free
 Gauss-Jordan elimination on integer rows.  Dimensions are capped at

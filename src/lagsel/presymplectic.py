@@ -334,6 +334,13 @@ def _span_in_ambient(m: int, vectors: list[list[int]], cols: Sequence[Sequence[i
     return Subspace._span(m, vectors)
 
 
+def _select(gram: Sequence[Sequence[int]], cols: Sequence[Sequence[int]] | None) -> tuple[Subspace, SignatureVector]:
+    """The selection and the signature vector from one sweep of ``_integer_gram``'s output."""
+    m = len(gram)
+    ups, dims = _sweep(gram)
+    return _span_in_ambient(m, ups, cols), SignatureVector(m, tuple(dims))
+
+
 def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
     """The canonical Lagrangian selection N(B|V_1) + ... + N(B|V_m).
 
@@ -343,8 +350,7 @@ def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
     """
     if flag is None:
         flag = Flag.standard(b.dim)
-    gram, cols = _integer_gram(b, flag)
-    return _span_in_ambient(b.dim, _sweep(gram)[0], cols)
+    return _select(*_integer_gram(b, flag))[0]
 
 
 def signature_vector(b: SkewForm, flag: Flag | None = None) -> SignatureVector:

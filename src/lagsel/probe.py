@@ -1,10 +1,12 @@
 """Numerical continuity evidence on the Grassmannian.
 
-Exact subspaces cross into floating point only here: a subspace is carried by
-an orthonormal basis, the distance between two subspaces is the spectral norm
-of the difference of their orthogonal projectors (the sine of the largest
-principal angle), and eigenvalues come from a self-contained cyclic Jacobi
-solver, so the module has no numerical dependencies.
+Exact subspaces cross into floating point only here, in ``projector``: the
+canonical integer rows of a subspace are scaled by powers of two, converted
+to floats, orthonormalized, and summed into the orthogonal projector.  The
+distance between two subspaces is the spectral norm of the difference of
+their projectors (the sine of the largest principal angle), and eigenvalues
+come from a self-contained cyclic Jacobi solver, so the module has no
+numerical dependencies.
 
 Path probes sample the Lagrangian selection along exact rational paths of
 forms or functionals and report the gap to the selection at a distinguished
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
 from operator import mul
-from random import Random
 from typing import Callable, Sequence
 
+from .lie import Functional, coadjoint_form, verify_jordan_holder
 from .linalg import Subspace, _rref_int_rows
-from .presymplectic import Flag, SignatureVector, SkewForm, _integer_gram, _span_in_ambient, _sweep, null_space
+from .presymplectic import Flag, SignatureVector, SkewForm, _integer_gram, _select
 from .schubert import JumpSet, jump_indices
 
 _ORTHO_TOL = 1e-12
@@ -37,63 +39,30 @@ _GAP_CONVERGED = 1e-4
 _GAP_BOUNDED_AWAY = 0.5
 # Basis rows are scaled by powers of two to entries below about 2^(this + 1).
 _ROW_EXPONENT = 500
-
-
-@dataclass(frozen=True)
-class FloatSubspace:
-    """An orthonormal-column basis of a subspace, double precision."""
-
-    ambient_dim: int
-    columns: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        for a, u in enumerate(self.columns):
-            for b, v in enumerate(self.columns):
-                want = 1.0 if a == b else 0.0
-                if abs(_fdot(u, v) - want) > 100 * _ORTHO_TOL:
-                    raise ValueError("columns are not orthonormal")
-
-    @classmethod
-    def from_subspace(cls, sub: Subspace) -> FloatSubspace:
-        """Orthonormalize the RREF basis, each row first scaled by a power of two.
-
-        Row i is ``rows[i] / p`` for its pivot entry p, times ``2^-e`` with e
-        the least non-negative integer that keeps its largest entry below
-        about ``2^501``, so no entry or square leaves the float range.  A
-        power of two scales every rounding step of the Gram-Schmidt below
-        exactly, and rows that need no scaling (e = 0) convert as before.
-        """
-        vectors = []
-        for row, c in zip(sub.rows, sub.pivots):
-            p = row[c]
-            e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - _ROW_EXPONENT)
-            vectors.append([float(Fraction(x, p << e)) for x in row])
-        return cls(sub.ambient_dim, tuple(_orthonormalize(vectors)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.columns)
-
-    def projector(self) -> list[list[float]]:
-        m = self.ambient_dim
-        p = [[0.0] * m for _ in range(m)]
-        for q in self.columns:
-            for i in range(m):
-                if q[i]:
-                    for j in range(m):
-                        p[i][j] += q[i] * q[j]
-        return p
+_JACOBI_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 100
 
 
 def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _orthonormalize(vectors: list[list[float]]) -> list[tuple[float, ...]]:
-    # Modified Gram-Schmidt, run twice for orthogonality near machine level.
+def projector(sub: Subspace) -> list[list[float]]:
+    """Orthogonal projector onto the subspace, as a dense float matrix.
+
+    Row i of the RREF basis is ``rows[i] / p`` for its pivot entry p, times
+    ``2^-e`` with e the least non-negative integer that keeps its largest
+    entry below about ``2^501``, so no entry or square leaves the float
+    range.  Each entry is the correctly rounded quotient ``x / (p << e)``.
+    A power of two scales every rounding step of the Gram-Schmidt below
+    exactly, and rows that need no scaling (e = 0) convert unscaled.
+    """
     basis: list[list[float]] = []
-    for vec in vectors:
-        w = vec[:]
+    for row, pivot in zip(sub.rows, sub.pivots):
+        p = row[pivot]
+        e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - _ROW_EXPONENT)
+        w = [x / (p << e) for x in row]
+        # Modified Gram-Schmidt, run twice for orthogonality near machine level.
         for _ in range(2):
             for q in basis:
                 c = _fdot(q, w)
@@ -103,32 +72,41 @@ def _orthonormalize(vectors: list[list[float]]) -> list[tuple[float, ...]]:
         if norm < _ORTHO_TOL:
             raise ValueError("input vectors are numerically dependent")
         basis.append([x / norm for x in w])
-    return [tuple(q) for q in basis]
+    # _fdot is symmetric bit for bit, so the pairs a <= b cover the check.
+    for a, u in enumerate(basis):
+        for b in range(a, len(basis)):
+            want = 1.0 if a == b else 0.0
+            if abs(_fdot(u, basis[b]) - want) > 100 * _ORTHO_TOL:
+                raise ValueError("columns are not orthonormal")
+    m = sub.ambient_dim
+    proj = [[0.0] * m for _ in range(m)]
+    for q in basis:
+        for i in range(m):
+            if q[i]:
+                for j in range(m):
+                    proj[i][j] += q[i] * q[j]
+    return proj
 
 
-def projector(sub: Subspace) -> list[list[float]]:
-    """Orthogonal projector onto the subspace, as a dense float matrix."""
-    return FloatSubspace.from_subspace(sub).projector()
-
-
-def jacobi_eigenvalues(sym: Sequence[Sequence[float]], tol: float = 1e-12, max_sweeps: int = 100) -> list[float]:
+def jacobi_eigenvalues(sym: Sequence[Sequence[float]]) -> list[float]:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until every off-diagonal entry is below ``tol`` in absolute value.
+    Sweeps until every off-diagonal entry is below ``_JACOBI_TOL`` in
+    absolute value.
     """
     n = len(sym)
     a = [list(row) for row in sym]
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = max(
             (abs(a[p][q]) for p in range(n) for q in range(p + 1, n)),
             default=0.0,
         )
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) < tol:
+                if abs(apq) < _JACOBI_TOL:
                     continue
                 theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
@@ -252,36 +230,14 @@ def path_probe(
     form takes one Gram matrix and one sweep, and the projector onto the
     ``t_star`` selection is built once.
     """
-    p_star, sig_star = _selection_and_signature(form_at(t_star), flag)
+    p_star, sig_star = _select(*_integer_gram(form_at(t_star), flag))
     proj_star = projector(p_star)
     records = []
     for t in samples:
-        p, sig = _selection_and_signature(form_at(t), flag)
+        p, sig = _select(*_integer_gram(form_at(t), flag))
         records.append(PathSample(t, _projector_gap(projector(p), proj_star), sig, jump_indices(p, flag)))
     records_t = tuple(records)
     return PathProbeReport(t_star, sig_star, jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
-
-
-def _selection_and_signature(b: SkewForm, flag: Flag) -> tuple[Subspace, SignatureVector]:
-    """``vergne_select(b, flag)`` and ``signature_vector(b, flag)`` from one sweep."""
-    gram, cols = _integer_gram(b, flag)
-    ups, dims = _sweep(gram)
-    return _span_in_ambient(b.dim, ups, cols), SignatureVector(flag.dim, tuple(dims))
-
-
-def affine_functional_path(base: Sequence, direction: Sequence):
-    """The exact path t -> base + t * direction on functional coefficients."""
-    from .lie import Functional
-
-    b = Functional.of(base)
-    d = Functional.of(direction)
-    if b.m != d.m:
-        raise ValueError("base and direction lengths differ")
-
-    def at(t: Fraction) -> Functional:
-        return Functional.of([x + t * y for x, y in zip(b.coeffs, d.coeffs)])
-
-    return at
 
 
 def functional_path_probe(
@@ -292,71 +248,15 @@ def functional_path_probe(
     samples: Sequence[Fraction],
     t_star: Fraction,
 ) -> PathProbeReport:
-    """Path probe for coadjoint forms of an affine functional path."""
-    from .lie import coadjoint_form, verify_jordan_holder
-
+    """Path probe for the coadjoint forms of the functionals base + t * direction."""
     if not verify_jordan_holder(algebra, flag):
         raise ValueError("flag is not a Jordan-Hölder sequence for this algebra")
-    xi_at = affine_functional_path(base, direction)
-    return path_probe(lambda t: coadjoint_form(algebra, xi_at(t)), flag, samples, t_star)
+    b = Functional.of(base)
+    d = Functional.of(direction)
+    if b.m != d.m:
+        raise ValueError("base and direction lengths differ")
 
+    def form_at(t: Fraction) -> SkewForm:
+        return coadjoint_form(algebra, Functional.of([x + t * y for x, y in zip(b.coeffs, d.coeffs)]))
 
-@dataclass(frozen=True)
-class ScaleResult:
-    scale: Fraction
-    max_radical_dim: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class RankProbeReport:
-    base_radical_dim: int
-    results: tuple[ScaleResult, ...]
-    largest_passing_scale: Fraction | None
-    smallest_scale_failed: bool
-
-
-def rank_semicontinuity_probe(
-    b: SkewForm,
-    trials: int = 50,
-    scales: Sequence[Fraction] | None = None,
-    seed: int = 0,
-    max_denominator: int = 1000,
-) -> RankProbeReport:
-    """Perturb B by random skew rational noise and watch the radical dimension.
-
-    For each scale eps (given in decreasing order) the probe draws ``trials``
-    skew perturbations with entries of magnitude at most eps and records
-    whether dim N(B + E) stayed at or below dim N(B).  Near B that inequality
-    always holds (some maximal nonzero minor of B survives small exact
-    perturbations), so a failure at the smallest scale is flagged as a bug
-    indicator rather than evidence.
-    """
-    if scales is None:
-        scales = [Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
-    rng = Random(seed)
-    m = b.dim
-    base_dim = null_space(b).dim
-    results = []
-    for scale in scales:
-        worst = 0
-        ok = True
-        for _ in range(trials):
-            entries = []
-            for i in range(1, m + 1):
-                for j in range(i + 1, m + 1):
-                    num = rng.randint(-max_denominator, max_denominator)
-                    entries.append((i, j, Fraction(num, max_denominator) * scale))
-            perturbed = b + SkewForm.from_upper_entries(m, entries)
-            dim_n = null_space(perturbed).dim
-            worst = max(worst, dim_n)
-            if dim_n > base_dim:
-                ok = False
-        results.append(ScaleResult(scale, worst, ok))
-    passing = [r.scale for r in results if r.passed]
-    return RankProbeReport(
-        base_dim,
-        tuple(results),
-        max(passing) if passing else None,
-        not results[-1].passed if results else False,
-    )
+    return path_probe(form_at, flag, samples, t_star)

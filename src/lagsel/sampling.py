@@ -42,8 +42,10 @@ def random_flag(rng: Random, m: int, max_entry: int = 3) -> Flag:
         candidate = Matrix(
             [[rng.randint(-max_entry, max_entry) for _ in range(m)] for _ in range(m)]
         )
-        if candidate.rank() == m:
+        try:
             return Flag(candidate)
+        except ValueError:
+            pass  # singular: draw again
 
 
 def random_vector(rng: Random, m: int, zero_chance: float = 0.3) -> list[Fraction]:

@@ -40,8 +40,7 @@ from .presymplectic import (
     SkewForm,
     _integer_gram,
     _primitive,
-    _span_in_ambient,
-    _sweep,
+    _select,
     b_perp,
     null_space,
     vergne_select,
@@ -270,9 +269,7 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     trace = _filtration(b, gram, cols)
     d = trace.d
     steps = _flag_steps(flag)
-    ups, dims = _sweep(gram)
-    selection = _span_in_ambient(m, ups, cols)
-    sig = SignatureVector(m, tuple(dims))
+    selection, sig = _select(gram, cols)
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)
@@ -353,11 +350,11 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     except ValueError as exc:
         check("cell determines the signature vector", False, lambda: f"{exc} [{ctx()}]")
 
+    # dim(W ∩ V_j) is the number of non-jumps of W up to j, for every subspace W.
     comp = jump_p.complement()
     ladder_witness = ""
     for j in range(1, m + 1):
-        ell = bisect_right(comp, j)
-        expected = j if ell == 0 else ell
+        expected = bisect_right(comp, j)
         got = intersect(selection, steps[j]).dim
         if got != expected:
             ladder_witness = f"dim(selection ∩ V_{j}) = {got}, expected {expected} [{ctx()}]"

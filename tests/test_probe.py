@@ -10,7 +10,6 @@ from lagsel.lie import Functional, builtin, coadjoint_form
 from lagsel.linalg import Matrix, Subspace, rref
 from lagsel.presymplectic import Flag, SkewForm, signature_vector, vergne_select
 from lagsel.probe import (
-    FloatSubspace,
     _scaled_projector,
     functional_path_probe,
     gap,
@@ -18,7 +17,6 @@ from lagsel.probe import (
     path_probe,
     projector,
     projector_sum_range_check,
-    rank_semicontinuity_probe,
     spectral_norm,
 )
 from lagsel.sampling import random_flag, random_rational, random_skew_form, random_subspace
@@ -87,6 +85,98 @@ def test_projector_idempotent_and_symmetric():
                 assert pij == pytest.approx(p[i][j], abs=1e-10)
 
 
+def oracle_float_projector(sub):
+    """The float projector built step by step, as the oracle for ``projector``.
+
+    Each RREF row ``rows[i] / p``, scaled by ``2^-e`` so that its largest
+    entry stays below about ``2^501``, is converted through
+    ``float(Fraction(x, p << e))``.  The rows are orthonormalized by modified
+    Gram-Schmidt run twice, every ordered pair of columns is checked for
+    orthonormality, and the projector is the sum of their outer products.
+    """
+    vectors = []
+    for row, c in zip(sub.rows, sub.pivots):
+        p = row[c]
+        e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - 500)
+        vectors.append([float(Fraction(x, p << e)) for x in row])
+
+    def fdot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    columns = []
+    for vec in vectors:
+        w = vec[:]
+        for _ in range(2):
+            for q in columns:
+                c = fdot(q, w)
+                for t in range(len(w)):
+                    w[t] -= c * q[t]
+        norm = math.sqrt(fdot(w, w))
+        if norm < 1e-12:
+            raise ValueError("input vectors are numerically dependent")
+        columns.append(tuple(x / norm for x in w))
+    for a, u in enumerate(columns):
+        for b, v in enumerate(columns):
+            if abs(fdot(u, v) - (1.0 if a == b else 0.0)) > 100 * 1e-12:
+                raise ValueError("columns are not orthonormal")
+    m = sub.ambient_dim
+    out = [[0.0] * m for _ in range(m)]
+    for q in columns:
+        for i in range(m):
+            if q[i]:
+                for j in range(m):
+                    out[i][j] += q[i] * q[j]
+    return out
+
+
+def _scaled_rows(sub):
+    """How many RREF rows of the subspace need a power-of-two scaling."""
+    return sum(max(map(abs, row)).bit_length() - row[c].bit_length() > 500 for row, c in zip(sub.rows, sub.pivots))
+
+
+def test_projector_matches_the_oracle_bit_for_bit():
+    rng = Random(59)
+    kinds = [0, 0, 0]
+    for n in range(540):
+        m = rng.randint(0, 10)
+        kind = n % 3
+        if kind == 0:
+            # Rational vectors, so the RREF rows carry their denominators.
+            sub = random_subspace(rng, m)
+        elif kind == 1:
+            # Columns of a scrambled flag.
+            flag = random_flag(rng, m)
+            sub = Subspace.from_vectors(m, [flag.column(a) for a in range(rng.randint(0, m))])
+        else:
+            # Selections on scrambled flags, whose canonical rows grow.
+            sub = vergne_select(random_skew_form(rng, m), random_flag(rng, m))
+        assert projector(sub) == oracle_float_projector(sub)
+        kinds[kind] += sub.dim > 0
+    assert min(kinds) >= 100
+
+
+@pytest.mark.parametrize("digits", [200, 400, 1000])
+def test_projector_matches_the_oracle_on_scaled_rows(digits):
+    big = 10**digits
+    g54 = builtin("g54")
+    subs = [
+        Subspace.from_vectors(3, [[1, big, 0]]),
+        Subspace.from_vectors(4, [[3, big + 1, 0, -7], [0, 0, 2, big // 3]]),
+        Subspace.from_vectors(5, [[1, Fraction(big, 7), 0, Fraction(1, big), 0], [0, 0, 1, 0, big]]),
+    ]
+    # The probe selections of g54 at xi = (10^digits, t, 0, 0, 0).
+    for t in (Fraction(1, 2), Fraction(1, 4)):
+        subs.append(vergne_select(coadjoint_form(g54.algebra, Functional.of([big, t, 0, 0, 0])), g54.flag))
+    for sub in subs:
+        assert _scaled_rows(sub) > 0
+        assert projector(sub) == oracle_float_projector(sub)
+    # Rows that round to parallel floats are refused by both.
+    sub = Subspace.from_vectors(5, [[1, Fraction(big, 7), 0, Fraction(1, big), 0], [0, 1, 0, 0, big]])
+    for build in (projector, oracle_float_projector):
+        with pytest.raises(ValueError, match="numerically dependent"):
+            build(sub)
+
+
 def test_jacobi_eigenvalues_known_matrix():
     vals = sorted(jacobi_eigenvalues([[2.0, 1.0], [1.0, 2.0]]))
     assert vals[0] == pytest.approx(1.0, abs=1e-12)
@@ -119,9 +209,9 @@ def test_gap_is_sine_of_angle_rational_slope():
 def test_gap_is_sine_of_angle_pi_sixth():
     # Not a rational direction, so check at the float layer directly.
     theta = math.pi / 6
-    f1 = FloatSubspace(2, ((1.0, 0.0),))
-    f2 = FloatSubspace(2, ((math.cos(theta), math.sin(theta)),))
-    p1, p2 = f1.projector(), f2.projector()
+    u, v = (1.0, 0.0), (math.cos(theta), math.sin(theta))
+    p1 = [[a * b for b in u] for a in u]
+    p2 = [[a * b for b in v] for a in v]
     diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
     assert spectral_norm(diff) == pytest.approx(0.5, abs=1e-12)
 
@@ -291,10 +381,10 @@ def test_path_probe_on_raw_forms():
 def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeypatch):
     # Every record equals the public per-sample definitions, gap floats
     # included, from one sweep per form and one projector per selection.
-    from lagsel import probe
+    from lagsel import presymplectic, probe
 
     counts = {"sweep": 0, "projector": 0}
-    sweep, build_projector = probe._sweep, probe.projector
+    sweep, build_projector = presymplectic._sweep, probe.projector
 
     def counted_sweep(gram):
         counts["sweep"] += 1
@@ -304,7 +394,7 @@ def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeyp
         counts["projector"] += 1
         return build_projector(sub)
 
-    monkeypatch.setattr(probe, "_sweep", counted_sweep)
+    monkeypatch.setattr(presymplectic, "_sweep", counted_sweep)
     monkeypatch.setattr(probe, "projector", counted_projector)
     rng = Random(41)
     samples = [Fraction(1, 2**i) for i in range(1, 5)]
@@ -327,37 +417,3 @@ def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeyp
             assert sample.gap == gap(p, p_star)
             assert sample.stratum == signature_vector(form_at(t), flag)
             assert sample.cell == jump_indices(p, flag)
-
-
-def test_rank_semicontinuity_zero_form_never_fails():
-    report = rank_semicontinuity_probe(SkewForm.zero(3), trials=10, seed=4)
-    assert report.base_radical_dim == 3
-    assert report.largest_passing_scale == Fraction(1)
-    assert not report.smallest_scale_failed
-
-
-def test_rank_semicontinuity_symplectic_form():
-    form = SkewForm.from_upper_entries(4, [(1, 3, 1), (2, 4, 1)])
-    report = rank_semicontinuity_probe(form, trials=25, seed=11)
-    assert report.base_radical_dim == 0
-    assert report.largest_passing_scale is not None
-    assert not report.smallest_scale_failed
-
-
-def test_rank_semicontinuity_g54_form():
-    built = builtin("g54")
-    form = coadjoint_form(built.algebra, Functional.of([1, 0, 0, 0, 0]))
-    report = rank_semicontinuity_probe(
-        form, trials=25, scales=[Fraction(1, 1000)], seed=13
-    )
-    assert report.base_radical_dim == 3
-    assert report.results[0].passed
-    assert report.results[0].max_radical_dim <= 3
-
-
-def test_random_forms_rank_parity_under_perturbation():
-    rng = Random(99)
-    for _ in range(5):
-        form = random_skew_form(rng, 5)
-        report = rank_semicontinuity_probe(form, trials=10, seed=3)
-        assert not report.smallest_scale_failed

@@ -1,5 +1,6 @@
 """Jump sets, the isotropic filtration, and cell/signature translation."""
 
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -234,6 +235,23 @@ def test_jump_indices_is_one_elimination_in_the_quotient(monkeypatch):
                 assert heights == ([] if w.dim in (0, m) else [m - w.dim])
 
 
+def test_intersection_with_a_flag_step_counts_the_non_jumps():
+    # dim(W ∩ V_j) = |{r <= j : r not a jump of W}| for every subspace W,
+    # which is 0 at every j when 1..j are all jumps: the verifier's ladder.
+    rng = Random(43)
+    first_is_jump = 0
+    for n in range(300):
+        m = rng.randint(1, 7)
+        flag = Flag.standard(m) if n % 2 else random_flag(rng, m)
+        for w in (Subspace.zero(m), random_subspace(rng, m), random_subspace(rng, m, max_gens=2)):
+            comp = jump_indices(w, flag).complement()
+            first_is_jump += w.dim > 0 and 1 not in comp
+            for j in range(m + 1):
+                assert intersect(w, flag.subspace(j)).dim == bisect_right(comp, j)
+    # Nonzero subspaces with 1 in jump(W).
+    assert first_is_jump >= 250
+
+
 def test_jump_set_dimension_cap():
     assert len(cell_to_signature(JumpSet(MAX_DIM, ())).entries) == MAX_DIM
     with pytest.raises(ValueError, match="exceeds the limit"):
@@ -330,7 +348,7 @@ def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, monkey
 
     for module in (presymplectic, schubert):
         monkeypatch.setattr(module, "_integer_gram", counted_gram)
-        monkeypatch.setattr(module, "_sweep", counted_sweep)
+    monkeypatch.setattr(presymplectic, "_sweep", counted_sweep)
     for form, flag in filtration_cases(rational_flag, 60, 41):
         calls.update(gram=0, sweep=0)
         assert verify_filtration_lemmas(form, flag).ok
@@ -338,6 +356,8 @@ def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, monkey
 
 
 def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
+    from lagsel import presymplectic
+
     rng = Random(5)
     form, flag = random_skew_form(rng, 5, zero_chance=0.0), random_flag(rng, 5)
     sums = []
@@ -353,14 +373,14 @@ def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
     # One sum per step for its check; none more for a witness nobody reads.
     assert len(sums) == filtration(form, flag).d == 2
 
-    original = schubert._span_in_ambient
+    original = presymplectic._span_in_ambient
 
     def dropped_row(m, vectors, cols):
         selection = original(m, vectors, cols)
         return Subspace(selection.ambient_dim, selection.basis[:-1], selection.pivots[:-1])
 
-    # The verifier maps the sweep's up-step vectors to the selection here.
-    monkeypatch.setattr(schubert, "_span_in_ambient", dropped_row)
+    # The verifier's _select maps the sweep's up-step vectors to the selection here.
+    monkeypatch.setattr(presymplectic, "_span_in_ambient", dropped_row)
     report = verify_filtration_lemmas(form, flag)
     failed = {c.name: c.witness for c in report.failures()}
     witness = failed["chain ends at the flag selection"]
