@@ -17,7 +17,6 @@ import re
 import sys
 from argparse import ArgumentError
 from fractions import Fraction
-from pathlib import Path
 
 from . import serialize
 from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polarization
@@ -68,7 +67,7 @@ def _parse_matrix(text: str) -> Matrix:
 def _load_algebra_arg(args):
     """Resolve the algebra argument: builtin name or JSON file path."""
     name = args.algebra
-    if name.endswith(".json") or Path(name).exists():
+    if name.endswith(".json") or os.path.exists(name):
         algebra = serialize.lie_algebra_from_json(_load_json(name))
         return algebra, None
     matrix = _parse_matrix(args.matrix) if getattr(args, "matrix", None) else None

@@ -20,9 +20,9 @@ The end of the chain is exactly the flag selection ``vergne_select(B)``, the
 recorded index sequences land bijectively in the jump sets of N(B) and of
 the selection, and the jump set of the selection determines the signature
 vector.  All of these facts are exact theorems; ``verify_filtration_lemmas``
-re-checks them on concrete inputs, with intersections in the ambient space
-that share no code with the sweep, and reports any violation (which would
-mean a bug here, not new mathematics).
+re-checks them on concrete inputs in the ambient space, with intersections
+and one rank profile that share no code with the sweeps, and reports any
+violation (which would mean a bug here, not new mathematics).
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ class JumpSet:
     def complement(self) -> tuple[int, ...]:
         members = set(self.indices)
         return tuple(j for j in range(1, self.m + 1) if j not in members)
-
-
-def _flag_steps(flag: Flag) -> list[Subspace]:
-    return [flag.subspace(j) for j in range(flag.dim + 1)]
 
 
 def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
@@ -250,7 +246,9 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
 
     Every check below is a proved statement, so a failure is a bug report,
     not a counterexample; the witness string carries enough context to
-    reproduce it.  Witnesses are built only for failed checks.
+    reproduce it.  Witnesses are built only for failed checks.  Step k reads
+    only the flag steps V_{i_k} and V_{j_k}, and the dimension ladder is the
+    column rank profile of one elimination in the ambient space.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
@@ -268,7 +266,6 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     gram, cols = _integer_gram(b, flag)
     trace = _filtration(b, gram, cols)
     d = trace.d
-    steps = _flag_steps(flag)
     selection, sig = _select(gram, cols)
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
@@ -279,8 +276,8 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     for k in range(d):
         p_k, p_k1 = trace.chain[k], trace.chain[k + 1]
         i_k, j_k = trace.i_seq[k], trace.j_seq[k]
-        vi_trace = intersect(steps[i_k], p_k)
-        recovered = p_k1 + intersect(steps[j_k], p_k)
+        vi_trace = intersect(flag.subspace(i_k), p_k)
+        recovered = p_k1 + intersect(flag.subspace(j_k), p_k)
         check(
             f"step-{k}: quotient dimension one",
             p_k.dim - p_k1.dim == 1 and contains(p_k, p_k1),
@@ -296,9 +293,11 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
             contains(p_k1, vi_trace),
             lambda: f"i_k={i_k} [{ctx()}]",
         )
+        # radicals[k + 1] = b_perp(p_k1) ∩ p_k1, so this is "absorbed and
+        # orthogonal": it passes only where the orthogonality alone would.
         check(
             f"step-{k}: i-trace orthogonal to next member",
-            contains(b_perp(b, vi_trace), p_k1),
+            contains(radicals[k + 1], vi_trace),
             lambda: f"i_k={i_k} [{ctx()}]",
         )
         check(f"step-{k}: relative radical monotone", contains(radicals[k + 1], radicals[k]), ctx)
@@ -350,15 +349,16 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     except ValueError as exc:
         check("cell determines the signature vector", False, lambda: f"{exc} [{ctx()}]")
 
-    # dim(W ∩ V_j) is the number of non-jumps of W up to j, for every subspace W.
-    comp = jump_p.complement()
-    ladder_witness = ""
-    for j in range(1, m + 1):
-        expected = bisect_right(comp, j)
-        got = intersect(selection, steps[j]).dim
-        if got != expected:
-            ladder_witness = f"dim(selection ∩ V_{j}) = {got}, expected {expected} [{ctx()}]"
-            break
-    check("selection/flag dimension ladder", not ladder_witness, lambda: ladder_witness)
+    # dim(W ∩ V_j) = j - #{jumps of W up to j}.  Column c >= dim W of [W's rows
+    # | flag columns] is a pivot exactly when p_{c - dim W + 1} ∉ W + V_{c - dim W}.
+    columns = [list(row) for row in zip(*selection.rows, *flag.integer_columns)]
+    ladder = tuple(c - selection.dim + 1 for c in _rref_int_rows(columns) if c >= selection.dim)
+
+    def ladder_witness() -> str:
+        dims = [(j, j - bisect_right(ladder, j), j - bisect_right(jump_p.indices, j)) for j in range(1, m + 1)]
+        j, got, expected = next(t for t in dims if t[1] != t[2])
+        return f"dim(selection ∩ V_{j}) = {got}, expected {expected} [{ctx()}]"
+
+    check("selection/flag dimension ladder", ladder == jump_p.indices, ladder_witness)
 
     return FiltrationLemmaReport(tuple(checks))

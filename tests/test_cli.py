@@ -409,3 +409,13 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: TypeError: unsupported operand\n"
     assert "Traceback" not in err
+
+
+def test_overlong_algebra_name_exits_1_with_one_line(capsys):
+    # A name over 255 bytes is not a file; it is a builtin name that fails
+    # the dimension cap, not an OSError from the file system.
+    code, out, err = run(capsys, "vergne", "heisenberg:" + "1" * 400, "--xi=1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dimension ") and err.endswith(" exceeds the limit of 64\n")
+    assert err.count("\n") == 1

@@ -2,7 +2,8 @@
 
 Every argv drawn from the nine subcommands' grammar, with generated JSON
 files for forms, flags, subspaces, algebras and probe specs, must end in
-exit code 0, 1 or 2 with at most one line on stderr and no traceback.
+exit code 0, 1 or 2 with at most one line on stderr, no traceback, and
+no ``internal error:`` line from the last-resort handler.
 Dimensions stay at most 8 and lists short, so no example can allocate
 without bound; ``main`` runs in process, with no subprocess per example.
 """
@@ -214,5 +215,7 @@ def test_every_command_line_exits_0_1_or_2_with_at_most_one_stderr_line(tmp_path
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (args, code, err)
         assert err.count("\n") <= 1 and "Traceback" not in err, (args, err)
+        # No known input reaches the last-resort handler.
+        assert not err.startswith("internal error:"), (args, err)
 
     check()

@@ -386,3 +386,77 @@ def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
     witness = failed["chain ends at the flag selection"]
     assert "final=" in witness and "B=[[" in witness
     assert all(c.witness == "" for c in report.checks if c.passed)
+
+
+def test_lemma_report_work_budget(rational_flag, monkeypatch):
+    # Per step: V_{i_k} and V_{j_k}, intersected with p^k; per chain member:
+    # one relative radical, b_perp(p) ∩ p.  Nothing else builds a flag step,
+    # a B-orthogonal complement or an intersection.
+    from lagsel import presymplectic
+
+    calls = {"subspace": 0, "b_perp": 0, "intersect": 0}
+    subspace, original_b_perp, original_intersect = Flag.subspace, presymplectic.b_perp, linalg.intersect
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(Flag, "subspace", counted("subspace", subspace))
+    for module in (presymplectic, schubert):
+        monkeypatch.setattr(module, "b_perp", counted("b_perp", original_b_perp))
+    for module in (linalg, schubert):
+        monkeypatch.setattr(module, "intersect", counted("intersect", original_intersect))
+    steps = 0
+    for form, flag in filtration_cases(rational_flag, 240, 43):
+        d = filtration(form, flag).d
+        calls.update(subspace=0, b_perp=0, intersect=0)
+        assert verify_filtration_lemmas(form, flag).ok
+        if d:
+            assert calls == {"subspace": 2 * d, "b_perp": d + 1, "intersect": 3 * d + 1}, (d, form.dim)
+            steps += d
+    assert steps > 200
+
+
+def _ladder_check(report):
+    return next(c for c in report.checks if c.name == "selection/flag dimension ladder")
+
+
+def test_dimension_ladder_catches_jump_indices_mutations(monkeypatch):
+    # Three wrong jump sets: the flag columns not applied, the first jump
+    # dropped, and a subspace of dimension m - 1 taken as the whole space.
+    # The ladder fails exactly where dim(selection ∩ V_j), by intersection,
+    # disagrees with the mutated jump set, and never on the correct one.
+    original = schubert.jump_indices
+    mutations = {
+        "flag not applied": lambda w, flag: original(w, Flag.standard(flag.dim)),
+        "first jump dropped": lambda w, flag: JumpSet(flag.dim, original(w, flag).indices[1:]),
+        "dim m - 1 taken as full": lambda w, flag: original(
+            Subspace.full(w.ambient_dim) if w.dim == w.ambient_dim - 1 else w, flag
+        ),
+    }
+    rng = Random(0)
+    pairs = []
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        form, flag = random_skew_form(rng, m), random_flag(rng, m)
+        assert _ladder_check(verify_filtration_lemmas(form, flag)).passed
+        selection = vergne_select(form, flag)
+        dims = [intersect(selection, flag.subspace(j)).dim for j in range(m + 1)]
+        pairs.append((form, flag, selection, dims))
+    caught = {}
+    for name, mutation in mutations.items():
+        caught[name] = 0
+        for form, flag, selection, dims in pairs:
+            comp = mutation(selection, flag).complement()
+            wrong = any(dims[j] != bisect_right(comp, j) for j in range(flag.dim + 1))
+            monkeypatch.setattr(schubert, "jump_indices", mutation)
+            check = _ladder_check(verify_filtration_lemmas(form, flag))
+            monkeypatch.setattr(schubert, "jump_indices", original)
+            assert check.passed != wrong, (name, check.witness)
+            caught[name] += wrong
+    # The counts of the intersection ladder this replaced, on these pairs.
+    floors = {"flag not applied": 265, "first jump dropped": 276, "dim m - 1 taken as full": 86}
+    assert all(caught[name] >= floor for name, floor in floors.items()), caught
