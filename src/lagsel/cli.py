@@ -23,7 +23,7 @@ from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polar
 from .linalg import Matrix, as_rational
 from .presymplectic import Flag, signature_vector, vergne_select
 from .probe import functional_path_probe
-from .schubert import JumpSet, cell_to_signature, filtration, jump_indices, selection_cell
+from .schubert import JumpSet, cell_to_signature, filtration, jump_indices
 from .suites import PROBE_PRESETS, preset_samples, run_suite, suite_names
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 1, 2

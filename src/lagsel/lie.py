@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,9 +34,19 @@ class JacobiError(ValueError):
 
 @dataclass(frozen=True)
 class Functional:
-    """A linear functional on the algebra, by its values on the basis."""
+    """A linear functional on the algebra, by its values on the basis.
+
+    Its coadjoint form on each algebra it is paired with is kept on the
+    functional, keyed by the algebra object, for the functional's lifetime
+    (see ``coadjoint_form``).
+    """
 
     coeffs: Vector
+
+    @cached_property
+    def _forms(self) -> dict[LieAlgebra, SkewForm]:
+        """Coadjoint forms by algebra, filled by ``coadjoint_form``."""
+        return {}
 
     @property
     def m(self) -> int:
@@ -191,16 +201,25 @@ def verify_jordan_holder(algebra: LieAlgebra, flag: Flag) -> bool:
 
 
 def coadjoint_form(algebra: LieAlgebra, xi: Functional) -> SkewForm:
-    """The skew form B(x, y) = <xi, [x, y]> in the algebra basis."""
-    if xi.m != algebra.dim:
-        raise ValueError("functional and algebra dimensions differ")
-    xs = integer_rows([xi.coeffs])[0]
-    scale = denominator_lcm(xi.coeffs) * algebra._scale
-    rows = [[0] * algebra.dim for _ in range(algebra.dim)]
-    for row, entries in zip(rows, algebra._constants):
-        for b, vec in entries:
-            row[b] = sum(map(mul, xs, vec))
-    return SkewForm._from_integers(rows, scale)
+    """The skew form B(x, y) = <xi, [x, y]> in the algebra basis.
+
+    Built once per functional and algebra object and kept on the functional,
+    so the polarization, isotropy and stratum of one functional share one
+    form, and through it one sweep.  ``LieAlgebra`` compares by identity, so
+    two algebras never share an entry.
+    """
+    form = xi._forms.get(algebra)
+    if form is None:
+        if xi.m != algebra.dim:
+            raise ValueError("functional and algebra dimensions differ")
+        xs = integer_rows([xi.coeffs])[0]
+        scale = denominator_lcm(xi.coeffs) * algebra._scale
+        rows = [[0] * algebra.dim for _ in range(algebra.dim)]
+        for row, entries in zip(rows, algebra._constants):
+            for b, vec in entries:
+                row[b] = sum(map(mul, xs, vec))
+        form = xi._forms[algebra] = SkewForm._from_integers(rows, scale)
+    return form
 
 
 def isotropy_subalgebra(algebra: LieAlgebra, xi: Functional) -> Subspace:

@@ -342,10 +342,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - len(self.rows)
-
     def is_zero(self) -> bool:
         return not self.rows
 

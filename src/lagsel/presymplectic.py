@@ -19,6 +19,12 @@ with one vector fewer.  Otherwise the step goes up and the vector joins
 R_{j+1}.  The selection is spanned by the up-step vectors, so it is maximal
 isotropic, and its jump set is the set of down steps.
 
+``vergne_select`` and ``signature_vector`` are two readings of that one
+sweep.  The first query on a form and a flag runs it and keeps it on the
+form, keyed by the flag, and later queries read it there; the selection's
+span is built on its first read.  The sweep lives as long as the form
+object does: there is no module-level cache.
+
 The per-step definition (``restrict`` to V_j, ``null_space``, ``Flag.embed``
 and sum) is kept as public API and is the test oracle for the sweep.
 """
@@ -44,7 +50,9 @@ class SkewForm:
     vectors is ``integer_matrix[i][j] / scale``.  The pair is canonical, so
     equal forms compare and hash equal.  A positive scaling changes no
     orthogonal complement, null space or isotropy, so the integer primitives
-    all read ``integer_matrix``.  ``matrix`` is built on first read.
+    all read ``integer_matrix``.  ``matrix`` is built on first read, and the
+    selection and signature along each flag queried are kept on the form
+    for its lifetime (see ``_swept``).
 
     ``SkewForm(matrix)`` takes a ``Matrix`` and enforces exact skew symmetry.
     """
@@ -78,6 +86,11 @@ class SkewForm:
     def matrix(self) -> Matrix:
         """The Gram matrix as Fractions."""
         return Matrix([[Fraction(x, self.scale) for x in row] for row in self.integer_matrix])
+
+    @cached_property
+    def _sweeps(self) -> dict[Flag, _Sweep]:
+        """The sweep along each flag queried, filled by ``_swept``."""
+        return {}
 
     @property
     def dim(self) -> int:
@@ -334,11 +347,36 @@ def _span_in_ambient(m: int, vectors: list[list[int]], cols: Sequence[Sequence[i
     return Subspace._span(m, vectors)
 
 
-def _select(gram: Sequence[Sequence[int]], cols: Sequence[Sequence[int]] | None) -> tuple[Subspace, SignatureVector]:
-    """The selection and the signature vector from one sweep of ``_integer_gram``'s output."""
-    m = len(gram)
-    ups, dims = _sweep(gram)
-    return _span_in_ambient(m, ups, cols), SignatureVector(m, tuple(dims))
+class _Sweep:
+    """One sweep of ``_integer_gram``'s output, read two ways.
+
+    ``signature`` is the signature vector.  ``selection``, the span of the
+    up-step vectors in the ambient space, is built on first read, so a
+    signature-only query runs no elimination.
+    """
+
+    def __init__(self, gram: Sequence[Sequence[int]], cols: Sequence[Sequence[int]] | None):
+        self._ups, dims = _sweep(gram)
+        self._cols = cols
+        self.signature = SignatureVector(len(gram), tuple(dims))
+
+    @cached_property
+    def selection(self) -> Subspace:
+        return _span_in_ambient(self.signature.m, self._ups, self._cols)
+
+
+def _swept(b: SkewForm, flag: Flag | None) -> _Sweep:
+    """The sweep of the form along the flag (the standard flag for None).
+
+    It runs once per form and flag and is kept in ``b._sweeps`` under the
+    flag, so it lives exactly as long as the form.
+    """
+    if flag is None:
+        flag = Flag.standard(b.dim)
+    sweep = b._sweeps.get(flag)
+    if sweep is None:
+        sweep = b._sweeps[flag] = _Sweep(*_integer_gram(b, flag))
+    return sweep
 
 
 def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
@@ -348,17 +386,12 @@ def vergne_select(b: SkewForm, flag: Flag | None = None) -> Subspace:
     ambient space.  The result is maximal isotropic with dimension
     (m + dim N(B)) / 2 and contains N(B).
     """
-    if flag is None:
-        flag = Flag.standard(b.dim)
-    return _select(*_integer_gram(b, flag))[0]
+    return _swept(b, flag).selection
 
 
 def signature_vector(b: SkewForm, flag: Flag | None = None) -> SignatureVector:
     """The stratum label (dim N(B|V_1), ..., dim N(B|V_m))."""
-    if flag is None:
-        flag = Flag.standard(b.dim)
-    _, dims = _sweep(_integer_gram(b, flag)[0])
-    return SignatureVector(flag.dim, tuple(dims))
+    return _swept(b, flag).signature
 
 
 def is_isotropic(b: SkewForm, w: Subspace) -> bool:

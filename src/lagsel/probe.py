@@ -2,11 +2,12 @@
 
 Exact subspaces cross into floating point only here, in ``projector``: the
 canonical integer rows of a subspace are scaled by powers of two, converted
-to floats, orthonormalized, and summed into the orthogonal projector.  The
-distance between two subspaces is the spectral norm of the difference of
-their projectors (the sine of the largest principal angle), and eigenvalues
-come from a self-contained cyclic Jacobi solver, so the module has no
-numerical dependencies.
+to floats, orthonormalized, and summed into the orthogonal projector; rows
+that rounding leaves numerically dependent get the exact projector, rounded
+once.  The distance between two subspaces is the spectral norm of the
+difference of their projectors (the sine of the largest principal angle),
+and eigenvalues come from a self-contained cyclic Jacobi solver, so the
+module has no numerical dependencies.
 
 Path probes sample the Lagrangian selection along exact rational paths of
 forms or functionals and report the gap to the selection at a distinguished
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 from .lie import Functional, coadjoint_form, verify_jordan_holder
 from .linalg import Subspace, _rref_int_rows
-from .presymplectic import Flag, SignatureVector, SkewForm, _integer_gram, _select
+from .presymplectic import Flag, SignatureVector, SkewForm, _Sweep, _integer_gram
 from .schubert import JumpSet, jump_indices
 
 _ORTHO_TOL = 1e-12
@@ -56,6 +57,33 @@ def projector(sub: Subspace) -> list[list[float]]:
     range.  Each entry is the correctly rounded quotient ``x / (p << e)``.
     A power of two scales every rounding step of the Gram-Schmidt below
     exactly, and rows that need no scaling (e = 0) convert unscaled.
+
+    Rows that the Gram-Schmidt finds numerically dependent or not
+    orthonormal after rounding still span a valid subspace: then the exact
+    projector ``_scaled_projector(sub) / L`` is returned, each entry rounded
+    once.  Its trace is L times dim W, which gives L.
+    """
+    try:
+        basis = _float_orthonormal_basis(sub)
+    except ValueError:
+        scaled = _scaled_projector(sub)
+        scale = sum(row[i] for i, row in enumerate(scaled)) // sub.dim
+        return [[x / scale for x in row] for row in scaled]
+    m = sub.ambient_dim
+    proj = [[0.0] * m for _ in range(m)]
+    for q in basis:
+        for i in range(m):
+            if q[i]:
+                for j in range(m):
+                    proj[i][j] += q[i] * q[j]
+    return proj
+
+
+def _float_orthonormal_basis(sub: Subspace) -> list[list[float]]:
+    """The scaled RREF rows of ``projector``, orthonormalized in floats.
+
+    Raises ValueError when rounding made the rows numerically dependent or
+    left them short of orthonormal.
     """
     basis: list[list[float]] = []
     for row, pivot in zip(sub.rows, sub.pivots):
@@ -78,14 +106,7 @@ def projector(sub: Subspace) -> list[list[float]]:
             want = 1.0 if a == b else 0.0
             if abs(_fdot(u, basis[b]) - want) > 100 * _ORTHO_TOL:
                 raise ValueError("columns are not orthonormal")
-    m = sub.ambient_dim
-    proj = [[0.0] * m for _ in range(m)]
-    for q in basis:
-        for i in range(m):
-            if q[i]:
-                for j in range(m):
-                    proj[i][j] += q[i] * q[j]
-    return proj
+    return basis
 
 
 def jacobi_eigenvalues(sym: Sequence[Sequence[float]]) -> list[float]:
@@ -230,14 +251,16 @@ def path_probe(
     form takes one Gram matrix and one sweep, and the projector onto the
     ``t_star`` selection is built once.
     """
-    p_star, sig_star = _select(*_integer_gram(form_at(t_star), flag))
+    star = _Sweep(*_integer_gram(form_at(t_star), flag))
+    p_star = star.selection
     proj_star = projector(p_star)
     records = []
     for t in samples:
-        p, sig = _select(*_integer_gram(form_at(t), flag))
-        records.append(PathSample(t, _projector_gap(projector(p), proj_star), sig, jump_indices(p, flag)))
+        sweep = _Sweep(*_integer_gram(form_at(t), flag))
+        p = sweep.selection
+        records.append(PathSample(t, _projector_gap(projector(p), proj_star), sweep.signature, jump_indices(p, flag)))
     records_t = tuple(records)
-    return PathProbeReport(t_star, sig_star, jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
+    return PathProbeReport(t_star, star.signature, jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
 
 
 def functional_path_probe(

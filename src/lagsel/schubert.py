@@ -40,7 +40,7 @@ from .presymplectic import (
     SkewForm,
     _integer_gram,
     _primitive,
-    _select,
+    _Sweep,
     b_perp,
     null_space,
     vergne_select,
@@ -266,7 +266,8 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     gram, cols = _integer_gram(b, flag)
     trace = _filtration(b, gram, cols)
     d = trace.d
-    selection, sig = _select(gram, cols)
+    sweep = _Sweep(gram, cols)
+    selection, sig = sweep.selection, sweep.signature
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lagsel import presymplectic
 from lagsel.linalg import Matrix
 from lagsel.presymplectic import Flag
 from lagsel.sampling import random_rational
@@ -18,3 +19,22 @@ def rational_flag():
                 return Flag(basis)
 
     return draw
+
+
+@pytest.fixture
+def forms_and_sweeps(monkeypatch):
+    """Counts of the skew forms built and the sweeps run, in a dict the test may reset."""
+    counts = {"forms": 0, "sweeps": 0}
+    build, sweep = presymplectic.SkewForm._from_integers, presymplectic._sweep
+
+    def counted_build(cls, rows, scale):
+        counts["forms"] += 1
+        return build(rows, scale)
+
+    def counted_sweep(gram):
+        counts["sweeps"] += 1
+        return sweep(gram)
+
+    monkeypatch.setattr(presymplectic.SkewForm, "_from_integers", classmethod(counted_build))
+    monkeypatch.setattr(presymplectic, "_sweep", counted_sweep)
+    return counts

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from lagsel import serialize
 from lagsel.cli import main
 from lagsel.linalg import Subspace
+from lagsel.sampling import random_flag, random_skew_form
 
 
 def run(capsys, *argv):
@@ -85,6 +87,29 @@ def test_vergne_axb_identity_matrix(capsys):
     assert serialize.subspace_from_json(payload["polarization"]) == Subspace.from_vectors(
         3, [[1, 0, 0], [0, 1, 0]]
     )
+
+
+def test_polarize_runs_one_sweep(tmp_path, capsys, forms_and_sweeps):
+    # The selection and its signature are two readings of one sweep.
+    rng = Random(73)
+    for m in (2, 5, 8):
+        form = write_json(tmp_path, f"form{m}.json", serialize.skew_form_to_json(random_skew_form(rng, m)))
+        flag = write_json(tmp_path, f"flag{m}.json", serialize.flag_to_json(random_flag(rng, m)))
+        for extra in ([], ["--flag", flag]):
+            forms_and_sweeps["sweeps"] = 0
+            code, out, _ = run(capsys, "polarize", form, *extra, "--json")
+            assert code == 0 and len(json.loads(out)["signature"]) == m
+            assert forms_and_sweeps["sweeps"] == 1
+
+
+@pytest.mark.parametrize("algebra, xi", [
+    ("g54", "1,2,3,4,5"), ("g54", "0,2,0,1,1"), ("g54", "0,0,0,1,1"),
+    ("g615", "1,2,3,4,5,6"), ("g615", "1,0,1,0,0,1"), ("heisenberg:2", "1,0,1,0,1"),
+])
+def test_vergne_builds_one_coadjoint_form_and_runs_one_sweep(capsys, forms_and_sweeps, algebra, xi):
+    code, out, _ = run(capsys, "vergne", algebra, f"--xi={xi}", "--json")
+    assert code == 0 and set(json.loads(out)) == {"polarization", "isotropy", "stratum", "cell"}
+    assert forms_and_sweeps == {"forms": 1, "sweeps": 1}
 
 
 def test_vergne_rejects_non_jh_flag(tmp_path, capsys):

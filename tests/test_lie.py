@@ -1,5 +1,7 @@
 """Lie algebras, Vergne polarizations, Casimirs, and coadjoint orbits."""
 
+import gc
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -107,6 +109,53 @@ def test_coadjoint_form_g615_dual_of_x2():
     assert form.matrix.entry(4, 3) == 1
     assert form.matrix.entry(3, 4) == -1
     assert sum(1 for i in range(6) for j in range(6) if form.matrix.entry(i, j)) == 2
+
+
+def test_one_functional_gets_each_algebras_own_form():
+    # g54 and a 5-dimensional axb algebra share one functional object; each
+    # must see its own coadjoint form, as a fresh functional would.
+    rng = Random(71)
+    algebras = [builtin("g54"), builtin("axb", Matrix([[1, 2, 0, 1], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 1]]))]
+    for _ in range(20):
+        coeffs = random_functional_coeffs(rng, 5)
+        xi = Functional.of(coeffs)
+        for built in algebras + algebras:
+            fresh = Functional.of(coeffs)
+            assert coadjoint_form(built.algebra, xi) == coadjoint_form(built.algebra, fresh)
+            assert vergne_polarization(built.algebra, built.flag, xi) == vergne_polarization(
+                built.algebra, built.flag, fresh
+            )
+            assert stratum(built.algebra, built.flag, xi) == stratum(built.algebra, built.flag, fresh)
+        assert coadjoint_form(algebras[0].algebra, xi) != coadjoint_form(algebras[1].algebra, xi)
+
+
+def test_kept_coadjoint_form_dies_with_its_functional():
+    xi = Functional.of([1, 2, 3, 4, 5])
+    form = weakref.ref(coadjoint_form(builtin("g54").algebra, xi))
+    assert form() is not None
+    del xi
+    gc.collect()
+    assert form() is None
+
+
+def test_check_sample_builds_one_form_and_runs_one_sweep_per_functional(monkeypatch, forms_and_sweeps):
+    # The polarization, isotropy and stratum checks of one functional share
+    # one coadjoint form and one sweep.
+    from lagsel import suites
+
+    counts = forms_and_sweeps
+    per_sample = []
+    check_sample = suites._check_sample
+
+    def counted_check(report, built, xi, label):
+        counts.update(forms=0, sweeps=0)
+        check_sample(report, built, xi, label)
+        per_sample.append((built.kind.split(":")[0], counts["forms"], counts["sweeps"]))
+
+    monkeypatch.setattr(suites, "_check_sample", counted_check)
+    assert suites.run_suite("example-oracles", seed=0, trials=4).ok
+    assert {kind for kind, _, _ in per_sample} == {"g54", "g615", "axb", "heisenberg"}
+    assert {(forms, sweeps) for _, forms, sweeps in per_sample} == {(1, 1)}
 
 
 def test_isotropy_of_zero_functional_is_everything():

@@ -1,5 +1,7 @@
 """Skew forms, flag restrictions, and the Lagrangian selection."""
 
+import gc
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -376,6 +378,64 @@ def test_selection_and_signature_match_per_step_oracle(rational_flag):
         down = tuple(j for j, (k, k_before) in enumerate(zip(signature, before), start=1) if k < k_before)
         assert jump_indices(selection, flag).indices == down
     assert full_rank >= 50
+
+
+def test_one_form_answers_each_flag_as_a_fresh_form_does(rational_flag):
+    # One form object queried along several flags, in mixed order, must give
+    # what a fresh, equal form gives along each flag alone: the kept sweep is
+    # keyed by the flag, and None means the standard flag.
+    rng = Random(61)
+    differing = 0
+    for m in range(2, 9):
+        for _ in range(6):
+            form = random_skew_form(rng, m)
+            flags = [random_flag(rng, m), rational_flag(rng, m), None, Flag.standard(m)]
+            order = [(flag, rng.random() < 0.5) for flag in flags for _ in range(2)]
+            rng.shuffle(order)
+            for flag, select_first in order:
+                fresh = SkewForm(form.matrix)
+                expected = (vergne_select(fresh, flag), signature_vector(fresh, flag))
+                if select_first:
+                    selection = vergne_select(form, flag)
+                    signature = signature_vector(form, flag)
+                else:
+                    signature = signature_vector(form, flag)
+                    selection = vergne_select(form, flag)
+                assert (selection, signature) == expected
+            standard = vergne_select(form)
+            differing += sum(vergne_select(form, flag) != standard for flag in flags[:2])
+    assert differing >= 40
+
+
+def test_signature_alone_builds_no_selection_span(monkeypatch):
+    from lagsel import presymplectic
+
+    spans = []
+    original = presymplectic._span_in_ambient
+
+    def counted(m, vectors, cols):
+        spans.append(m)
+        return original(m, vectors, cols)
+
+    monkeypatch.setattr(presymplectic, "_span_in_ambient", counted)
+    rng = Random(79)
+    form, flag = random_skew_form(rng, 7), random_flag(rng, 7)
+    signature_vector(form, flag)
+    assert spans == []
+    selection = vergne_select(form, flag)
+    assert vergne_select(form, flag) is selection
+    assert spans == [7]
+
+
+def test_kept_selection_dies_with_its_form():
+    rng = Random(67)
+    form, flag = random_skew_form(rng, 6), random_flag(rng, 6)
+    vergne_select(form, flag)
+    signature = weakref.ref(signature_vector(form, flag))
+    assert signature() is not None
+    del form
+    gc.collect()
+    assert signature() is None
 
 
 def test_selection_of_full_rank_form_on_rational_flag():

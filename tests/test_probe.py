@@ -170,11 +170,16 @@ def test_projector_matches_the_oracle_on_scaled_rows(digits):
     for sub in subs:
         assert _scaled_rows(sub) > 0
         assert projector(sub) == oracle_float_projector(sub)
-    # Rows that round to parallel floats are refused by both.
+    # Rows that round to parallel floats: the float path refuses them, and
+    # the library falls back to the exact projector, rounded once.
     sub = Subspace.from_vectors(5, [[1, Fraction(big, 7), 0, Fraction(1, big), 0], [0, 1, 0, 0, big]])
-    for build in (projector, oracle_float_projector):
-        with pytest.raises(ValueError, match="numerically dependent"):
-            build(sub)
+    with pytest.raises(ValueError, match="numerically dependent"):
+        oracle_float_projector(sub)
+    exact = exact_projector(sub)
+    got = projector(sub)
+    assert [len(row) for row in got] == [5] * 5
+    assert all(abs(x - float(y)) <= 1e-12 for row, exact_row in zip(got, exact) for x, y in zip(row, exact_row))
+    assert gap(sub, sub) == 0.0
 
 
 def test_jacobi_eigenvalues_known_matrix():

@@ -379,7 +379,7 @@ def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
         selection = original(m, vectors, cols)
         return Subspace(selection.ambient_dim, selection.basis[:-1], selection.pivots[:-1])
 
-    # The verifier's _select maps the sweep's up-step vectors to the selection here.
+    # The verifier's _Sweep maps the up-step vectors to the selection here.
     monkeypatch.setattr(presymplectic, "_span_in_ambient", dropped_row)
     report = verify_filtration_lemmas(form, flag)
     failed = {c.name: c.witness for c in report.failures()}
