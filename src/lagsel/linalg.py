@@ -215,9 +215,6 @@ class Matrix:
     def transpose(self) -> Matrix:
         return Matrix(zip(*self.entries)) if self.entries else Matrix([])
 
-    def rank(self) -> int:
-        return len(pivot_columns(self.entries))
-
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
@@ -234,15 +231,6 @@ def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     rows = _fraction_rows(int_rows, pivots)
     rows.extend([(Fraction(0),) * matrix.cols] * (matrix.rows - len(rows)))
     return Matrix(rows), tuple(pivots)
-
-
-def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-    """The pivot columns of the reduced row echelon form of ``rows``.
-
-    Column c is a pivot exactly when it is not in the span of the columns
-    before it, so the pivots are the column rank profile.
-    """
-    return tuple(_rref_int_rows(integer_rows(rows)))
 
 
 class Subspace:
@@ -347,10 +335,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient_dim
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        """True iff ``vec`` reduces to zero against the canonical basis."""
-        return self._reduces_to_zero(integer_rows([as_vector(vec, self.ambient_dim)])[0])
 
     def _reduces_to_zero(self, v: Sequence[int]) -> bool:
         # Fraction-free: v <- a v - c row clears v's entry at the pivot a of

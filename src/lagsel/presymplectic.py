@@ -21,12 +21,14 @@ isotropic, and its jump set is the set of down steps.
 
 ``vergne_select`` and ``signature_vector`` are two readings of that one
 sweep.  The first query on a form and a flag runs it and keeps it on the
-form, keyed by the flag, and later queries read it there; the selection's
-span is built on its first read.  The sweep lives as long as the form
-object does: there is no module-level cache.
+form with its Gram matrix, keyed by the flag, and later queries (the
+filtration and its verifier too) read it there; the selection's span is
+built on its first read.  The record lives as long as the form object
+does: there is no module-level cache.
 
-The per-step definition (``restrict`` to V_j, ``null_space``, ``Flag.embed``
-and sum) is kept as public API and is the test oracle for the sweep.
+``restrict`` and ``Flag.embed`` give the per-step definition (restrict to
+V_j, ``null_space``, embed and sum); the tests' oracle for the sweep is
+their own Fraction version of it.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ class SkewForm:
         for i, j, value in entries:
             if not 1 <= i < j <= dim:
                 raise ValueError(f"upper entry ({i}, {j}) out of range for dim {dim}")
+            if (i - 1, j - 1) in upper:
+                raise ValueError(f"upper entry ({i}, {j}) given twice")
             upper[i - 1, j - 1] = as_rational(value)
         scale = denominator_lcm(upper.values())
         rows = [[0] * dim for _ in range(dim)]
@@ -135,8 +139,9 @@ class Flag:
     as ``integer_columns``: column a times ``scales[a]``, the lcm of its own
     denominators.  The pair is canonical, so equal basis matrices give equal
     flags and hashes.  A positive scaling of a basis vector changes no flag
-    step, so the integer primitives all read these columns.
-    ``basis_matrix`` is built on first read.
+    step, so the integer primitives read these columns, through ``_read``
+    and ``_to_ambient``; only those and ``subspace`` know that the standard
+    flag's basis is the identity.  ``basis_matrix`` is built on first read.
 
     ``Flag(basis_matrix)`` takes a ``Matrix`` and checks that it is square
     and invertible.
@@ -155,6 +160,9 @@ class Flag:
         standard = scales == (1,) * m and cols == Subspace.full(m).rows
         if not standard and len(_rref_int_rows([list(col) for col in cols])) != m:
             raise ValueError("flag basis matrix must be invertible")
+        self._set(cols, scales, standard)
+
+    def _set(self, cols: tuple[tuple[int, ...], ...], scales: tuple[int, ...], standard: bool) -> None:
         object.__setattr__(self, "integer_columns", cols)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "_standard", standard)
@@ -170,7 +178,9 @@ class Flag:
 
     @classmethod
     def standard(cls, dim: int) -> Flag:
-        return cls(Matrix.identity(dim))
+        flag = object.__new__(cls)
+        flag._set(Subspace.full(dim).rows, (1,) * dim, True)
+        return flag
 
     def is_standard(self) -> bool:
         return self._standard
@@ -178,6 +188,23 @@ class Flag:
     def column(self, a: int) -> Vector:
         """The a-th flag basis vector (0-based)."""
         return self.basis_matrix.column(a)
+
+    def _read(self, phis: Iterable[Sequence[int]]) -> list[Sequence[int]]:
+        """Integer functionals in flag coordinates, phi -> (phi(p_a))_a: the rows Phi P.
+
+        The standard flag returns the rows themselves, so they are not copied.
+        """
+        if self._standard:
+            return list(phis)
+        return [[sum(map(mul, phi, col)) for col in self.integer_columns] for phi in phis]
+
+    def _to_ambient(self, xs: Iterable[Sequence[int]]) -> list[list[int]]:
+        """Integer vectors in flag coordinates into Q^m, x -> sum_a x_a p_a; x may stop at any V_j."""
+        if self._standard:
+            m = len(self.integer_columns)
+            return [list(x) + [0] * (m - len(x)) for x in xs]
+        rows = list(zip(*self.integer_columns))
+        return [[sum(map(mul, x, row)) for row in rows] for x in xs]
 
     def subspace(self, j: int) -> Subspace:
         """The flag step V_j (0 <= j <= m)."""
@@ -191,14 +218,10 @@ class Flag:
         """Map a subspace expressed in V_j-coordinates into the ambient space."""
         if sub.ambient_dim != j:
             raise ValueError("coordinate dimension does not match flag step")
-        if self._standard:
-            # Zero-padding preserves the canonical form.
-            pad = (0,) * (self.dim - j)
-            return Subspace._from_canonical(self.dim, tuple(row + pad for row in sub.rows), sub.pivots)
-        # Column a is integer_columns[a] / scales[a]; scale all to a common multiple.
+        # Coordinate a multiplies integer_columns[a] / scales[a]; scale all to a common multiple.
         common = lcm(*self.scales[:j])
-        cols = [[common // k * x for x in col] for col, k in zip(self.integer_columns[:j], self.scales)]
-        return _span_in_ambient(self.dim, sub.rows, cols)
+        factors = [common // k for k in self.scales[:j]]
+        return Subspace._span(self.dim, self._to_ambient([list(map(mul, factors, row)) for row in sub.rows]))
 
 
 @dataclass(frozen=True)
@@ -261,7 +284,7 @@ def restrict(b: SkewForm, flag: Flag, j: int) -> SkewForm:
     """
     if not 1 <= j <= flag.dim:
         raise ValueError(f"flag step {j} out of range 1..{flag.dim}")
-    gram, _ = _integer_gram(b, flag)
+    gram = _integer_gram(b, flag)
     scales = flag.scales[:j]
     common = lcm(*scales)
     factors = [common // k for k in scales]
@@ -270,23 +293,16 @@ def restrict(b: SkewForm, flag: Flag, j: int) -> SkewForm:
     return SkewForm._from_integers(rows, b.scale * common * common)
 
 
-def _integer_gram(
-    b: SkewForm, flag: Flag
-) -> tuple[Sequence[Sequence[int]], Sequence[Sequence[int]] | None]:
-    """The Gram matrix P^T B P of the flag basis, in integers, and P's columns.
+def _integer_gram(b: SkewForm, flag: Flag) -> list[Sequence[int]]:
+    """The Gram matrix P^T B P of the flag basis, in integers.
 
     B is ``b.integer_matrix`` and P's columns are ``flag.integer_columns``.
-    Positive scalings change no null space and no flag step.  The columns
-    are None for the standard flag, whose P is the identity.
+    Positive scalings change no null space and no flag step.  ``_read``
+    multiplies by P on the right, so this is ((B^T P)^T) P.
     """
     if b.dim != flag.dim:
         raise ValueError("form and flag dimensions differ")
-    gram = b.integer_matrix
-    if flag.is_standard():
-        return gram, None
-    cols = flag.integer_columns
-    images = [[sum(map(mul, row, col)) for row in gram] for col in cols]
-    return [[sum(map(mul, col, image)) for image in images] for col in cols], cols
+    return flag._read(zip(*flag._read(zip(*b.integer_matrix))))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -340,42 +356,37 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     return ups, dims
 
 
-def _span_in_ambient(m: int, vectors: list[list[int]], cols: Sequence[Sequence[int]] | None) -> Subspace:
-    """The span in Q^m of integer vectors in the coordinates of ``_integer_gram``'s columns."""
-    if cols is not None:
-        vectors = [[sum(map(mul, x, row)) for row in zip(*cols)] for x in vectors]
-    return Subspace._span(m, vectors)
-
-
 class _Sweep:
-    """One sweep of ``_integer_gram``'s output, read two ways.
+    """The Gram matrix of a form along a flag, and its one sweep read two ways.
 
+    ``gram`` is ``_integer_gram``'s matrix, which ``filtration`` reads too.
     ``signature`` is the signature vector.  ``selection``, the span of the
     up-step vectors in the ambient space, is built on first read, so a
     signature-only query runs no elimination.
     """
 
-    def __init__(self, gram: Sequence[Sequence[int]], cols: Sequence[Sequence[int]] | None):
-        self._ups, dims = _sweep(gram)
-        self._cols = cols
-        self.signature = SignatureVector(len(gram), tuple(dims))
+    def __init__(self, b: SkewForm, flag: Flag):
+        self.gram = _integer_gram(b, flag)
+        self._ups, dims = _sweep(self.gram)
+        self._flag = flag
+        self.signature = SignatureVector(flag.dim, tuple(dims))
 
     @cached_property
     def selection(self) -> Subspace:
-        return _span_in_ambient(self.signature.m, self._ups, self._cols)
+        return Subspace._span(self._flag.dim, self._flag._to_ambient(self._ups))
 
 
 def _swept(b: SkewForm, flag: Flag | None) -> _Sweep:
-    """The sweep of the form along the flag (the standard flag for None).
+    """The Gram matrix and sweep of the form along the flag (the standard flag for None).
 
-    It runs once per form and flag and is kept in ``b._sweeps`` under the
-    flag, so it lives exactly as long as the form.
+    The only place a ``_Sweep`` is built: once per form and flag, kept in
+    ``b._sweeps`` under the flag, so it lives exactly as long as the form.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
     sweep = b._sweeps.get(flag)
     if sweep is None:
-        sweep = b._sweeps[flag] = _Sweep(*_integer_gram(b, flag))
+        sweep = b._sweeps[flag] = _Sweep(b, flag)
     return sweep
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .lie import Functional, coadjoint_form, verify_jordan_holder
 from .linalg import Subspace, _rref_int_rows
-from .presymplectic import Flag, SignatureVector, SkewForm, _Sweep, _integer_gram
+from .presymplectic import Flag, SignatureVector, SkewForm, signature_vector, vergne_select
 from .schubert import JumpSet, jump_indices
 
 _ORTHO_TOL = 1e-12
@@ -248,19 +248,20 @@ def path_probe(
 
     Selections, strata and cells are computed exactly at every sample; only
     the gap against the selection at ``t_star`` is floating point.  Each
-    form takes one Gram matrix and one sweep, and the projector onto the
-    ``t_star`` selection is built once.
+    form's ``vergne_select`` and ``signature_vector`` share one Gram matrix
+    and one sweep, and the projector onto the ``t_star`` selection is built
+    once.
     """
-    star = _Sweep(*_integer_gram(form_at(t_star), flag))
-    p_star = star.selection
+    star = form_at(t_star)
+    p_star = vergne_select(star, flag)
     proj_star = projector(p_star)
     records = []
     for t in samples:
-        sweep = _Sweep(*_integer_gram(form_at(t), flag))
-        p = sweep.selection
-        records.append(PathSample(t, _projector_gap(projector(p), proj_star), sweep.signature, jump_indices(p, flag)))
+        b = form_at(t)
+        p = vergne_select(b, flag)
+        records.append(PathSample(t, _projector_gap(projector(p), proj_star), signature_vector(b, flag), jump_indices(p, flag)))
     records_t = tuple(records)
-    return PathProbeReport(t_star, star.signature, jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
+    return PathProbeReport(t_star, signature_vector(star, flag), jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
 
 
 def functional_path_probe(

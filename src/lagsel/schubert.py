@@ -20,9 +20,9 @@ The end of the chain is exactly the flag selection ``vergne_select(B)``, the
 recorded index sequences land bijectively in the jump sets of N(B) and of
 the selection, and the jump set of the selection determines the signature
 vector.  All of these facts are exact theorems; ``verify_filtration_lemmas``
-re-checks them on concrete inputs in the ambient space, with intersections
-and one rank profile that share no code with the sweeps, and reports any
-violation (which would mean a bug here, not new mathematics).
+re-checks them on the results callers get, in the ambient space, with
+intersections and one rank profile that share no code with the sweeps, and
+reports any violation (which would mean a bug here, not new mathematics).
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from .presymplectic import (
     Flag,
     SignatureVector,
     SkewForm,
-    _integer_gram,
     _primitive,
-    _Sweep,
+    _swept,
     b_perp,
     null_space,
+    signature_vector,
     vergne_select,
 )
 
@@ -84,9 +84,8 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
     W, so v -> (phi_f(v))_f has kernel exactly W and is injective on Q^m/W.
     Hence p_j lies in W + V_{j-1} exactly when column j of A = (phi_f(p_j))
     lies in the span of the columns before it: the jumps are the pivot
-    columns of A, an (m - dim W) x m elimination.  For the standard flag A is
-    the generators themselves.  W = 0 jumps everywhere and W = Q^m nowhere,
-    with no elimination.
+    columns of A, an (m - dim W) x m elimination; ``Flag._read`` builds A.
+    W = 0 jumps everywhere and W = Q^m nowhere, with no elimination.
     """
     m = flag.dim
     if w.ambient_dim != m:
@@ -95,10 +94,8 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
         return JumpSet(m, tuple(range(1, m + 1)))
     if w.is_full():
         return JumpSet(m, ())
-    phis = _kernel_generators(w.rows, w.pivots, m)
-    if not flag.is_standard():
-        # Scaling a column keeps the pivots, so the integer columns serve.
-        phis = [[sum(map(mul, phi, col)) for col in flag.integer_columns] for phi in phis]
+    # Scaling a column keeps the pivots, so the integer columns serve.
+    phis = flag._read(_kernel_generators(w.rows, w.pivots, m))
     return JumpSet(m, tuple(c + 1 for c in _rref_int_rows(phis)))
 
 
@@ -130,24 +127,19 @@ def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     the flag selection of a Lagrangian subspace and the number of steps is
     (m - dim N(B)) / 2.
 
-    One fraction-free pass over the Gram matrix G of the flag basis, as in
-    ``vergne_select``'s sweep.  Each member p^k has a basis x_1..x_n in flag
-    coordinates, in echelon form by last nonzero coordinate l_1 < ... < l_n,
-    so its trace V_i ∩ p^k is spanned by the x_t with l_t <= i.  With a the
-    first index with B(x_a, p^k) != 0 and b the first with B(x_a, x_b) != 0,
-    i = l_a, j = l_b, and p^{k+1} = {y in p^k : B(x_a, y) = 0} is spanned by
-    the x_t for t < b and B(x_a, x_b) x_t - B(x_a, x_t) x_b for t > b.  The
-    member itself is the kernel of the functionals B(x_a, .) of the steps so
-    far, mapped into the ambient space.
+    One fraction-free pass over the Gram matrix G of the flag basis, kept
+    with ``vergne_select``'s sweep.  Each member p^k has a basis x_1..x_n in
+    flag coordinates, in echelon form by last nonzero coordinate l_1 < ... <
+    l_n, so its trace V_i ∩ p^k is spanned by the x_t with l_t <= i.  With a
+    the first index with B(x_a, p^k) != 0 and b the first with B(x_a, x_b)
+    != 0, i = l_a, j = l_b, and p^{k+1} = {y in p^k : B(x_a, y) = 0} is
+    spanned by the x_t for t < b and B(x_a, x_b) x_t - B(x_a, x_t) x_b for
+    t > b.  The member itself is the kernel of the functionals B(x_a, .) of
+    the steps so far, mapped into the ambient space.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
-    return _filtration(b, *_integer_gram(b, flag))
-
-
-def _filtration(b: SkewForm, gram, cols) -> FiltrationTrace:
-    """``filtration`` on the Gram matrix and columns from ``_integer_gram``."""
-    p_rows = None if cols is None else list(zip(*cols))
+    gram = _swept(b, flag).gram
     m = b.dim
 
     def form(x: list[int], y: list[int]) -> int:
@@ -173,7 +165,7 @@ def _filtration(b: SkewForm, gram, cols) -> FiltrationTrace:
                 xt = form(x, basis[t])
                 if xt:
                     basis[t] = _primitive([omega * e - xt * f for e, f in zip(basis[t], y)])
-            v = x[:m] if p_rows is None else [sum(map(mul, x, row)) for row in p_rows]
+            (v,) = flag._to_ambient([x[:m]])
             functionals.append([sum(map(mul, g, v)) for g in b.integer_matrix])
             chain.append(kernel(functionals))
         # x_a is now B-orthogonal to the member, and so to every later one.
@@ -246,9 +238,13 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
 
     Every check below is a proved statement, so a failure is a bug report,
     not a counterexample; the witness string carries enough context to
-    reproduce it.  Witnesses are built only for failed checks.  Step k reads
-    only the flag steps V_{i_k} and V_{j_k}, and the dimension ladder is the
-    column rank profile of one elimination in the ambient space.
+    reproduce it.  Witnesses are built only for failed checks.  The checks
+    read the results callers get: ``filtration``, ``vergne_select`` and
+    ``signature_vector``, which share the Gram matrix and sweep kept on the
+    form, so a wrong kept record fails a check here.  The checks themselves
+    run in the ambient space and share no code with the sweeps: step k
+    reads only the flag steps V_{i_k} and V_{j_k}, and the dimension ladder
+    is the column rank profile of one elimination.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
@@ -262,12 +258,11 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     def ctx() -> str:
         return f"B={[[str(x) for x in row] for row in b.matrix.entries]}, flag={[[str(x) for x in row] for row in flag.basis_matrix.entries]}"
 
-    # One Gram matrix for the filtration, one sweep for selection and signature.
-    gram, cols = _integer_gram(b, flag)
-    trace = _filtration(b, gram, cols)
+    # The filtration, selection and signature that callers get: one Gram
+    # matrix and one sweep, kept on the form.
+    trace = filtration(b, flag)
     d = trace.d
-    sweep = _Sweep(gram, cols)
-    selection, sig = sweep.selection, sweep.signature
+    selection, sig = vergne_select(b, flag), signature_vector(b, flag)
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)

@@ -138,15 +138,13 @@ def lie_algebra_from_json(obj: Any) -> LieAlgebra:
         i, j, coeffs = item
         _check_index(i, "bracket")
         _check_index(j, "bracket")
+        if (i, j) in brackets:
+            raise ValueError(f"bracket ({i}, {j}) given twice")
         brackets[(i, j)] = vector_from_json(coeffs, dim)
     labels = obj.get("labels")
     if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise ValueError("'labels' must be a list of strings")
     return LieAlgebra(dim, brackets, labels)
-
-
-def functional_from_json(obj: Any, dim: int | None = None) -> Functional:
-    return Functional.of(vector_from_json(obj, dim))
 
 
 def functional_to_json(xi: Functional) -> list[str]:

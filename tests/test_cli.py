@@ -328,6 +328,11 @@ def test_closed_stdout_pipe_keeps_failed_check_exit_code():
         ("vergne", {"dim": 2, "brackets": [], "labels": 5}),
         ("vergne", {"dim": 2, "brackets": [], "labels": ["X", 2]}),
         ("vergne", {"dim": 65, "brackets": []}),
+        # An index pair given twice, with different or equal values.
+        ("polarize", {"dim": 2, "upper": [[1, 2, "1"], [1, 2, "5"]]}),
+        ("polarize", {"dim": 3, "upper": [[1, 2, "1"], [2, 3, "1"], [1, 2, "1"]]}),
+        ("vergne", {"dim": 2, "brackets": [[1, 2, ["0", "1"]], [1, 2, ["1", "0"]]]}),
+        ("vergne", {"dim": 2, "brackets": [[1, 2, ["1", "0"]], [1, 2, ["1", "0"]]]}),
     ],
 )
 def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, command, payload):

@@ -138,5 +138,3 @@ def test_sum_intersect_and_contains_match_sympy():
             expected = ()
         assert intersect(s1, s2).basis == expected
         assert contains(s1, s2) == (sympy.Matrix.vstack(a, b).rank() == a.rank())
-        for row in s2.basis[:1]:
-            assert s1.contains_vector(row) == (sympy.Matrix.vstack(a, b[0, :]).rank() == a.rank())

@@ -2,9 +2,10 @@
 
 ``lagsel.lie`` keeps an algebra as integer structure constants.  The oracle
 here builds its own Fraction table from the same input brackets and computes
-brackets, coadjoint forms, subalgebra and ideal membership, subordination
-and the Jacobi identity by the textbook formulas, sharing no arithmetic with
-the module under test.  The ``axb`` cases have rational actions, so the
+brackets, coadjoint forms, subalgebra and ideal membership (span membership
+by the Fraction elimination in ``oracles``), subordination and the Jacobi
+identity by the textbook formulas, sharing no arithmetic with the module
+under test.  The ``axb`` cases have rational actions, so the
 integer scale of the structure constants is above 1.
 """
 
@@ -17,6 +18,7 @@ from lagsel.lie import Functional, JacobiError, LieAlgebra, builtin, coadjoint_f
 from lagsel.linalg import Matrix, Subspace
 from lagsel.presymplectic import Flag, SkewForm, is_isotropic
 from lagsel.sampling import random_nonzero_rational, random_subspace, random_vector
+from oracles import in_span
 
 
 def _axb_brackets(action):
@@ -86,7 +88,7 @@ def oracle_coadjoint(table, xi):
 def oracle_is_subalgebra(table, sub):
     rows = sub.basis
     return all(
-        sub.contains_vector(oracle_bracket(table, rows[a], rows[b]))
+        in_span(rows, oracle_bracket(table, rows[a], rows[b]))
         for a in range(len(rows))
         for b in range(a + 1, len(rows))
     )
@@ -94,7 +96,7 @@ def oracle_is_subalgebra(table, sub):
 
 def oracle_is_ideal(table, sub):
     basis = Matrix.identity(len(table)).entries
-    return all(sub.contains_vector(oracle_bracket(table, x, v)) for x in basis for v in sub.basis)
+    return all(in_span(sub.basis, oracle_bracket(table, x, v)) for x in basis for v in sub.basis)
 
 
 def oracle_subordinate(table, xi, sub):

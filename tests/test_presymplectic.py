@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from lagsel.linalg import MAX_DIM, Matrix, Subspace, dot
+from lagsel.linalg import MAX_DIM, Matrix, Subspace
 from lagsel.presymplectic import (
     Flag,
     SignatureVector,
@@ -22,6 +22,7 @@ from lagsel.presymplectic import (
 )
 from lagsel.sampling import random_flag, random_rational, random_skew_form, random_subspace
 from lagsel.schubert import jump_indices
+from oracles import gram_of_flag, per_step_oracle
 
 
 def g54_form_at_e1():
@@ -109,6 +110,33 @@ def test_flag_round_trips_its_basis_matrix(rational_flag):
     half = Flag(Matrix([["1/2", 0], [0, 1]]))
     assert half != Flag.standard(2) and not half.is_standard()
     assert Flag(Matrix([])).basis_matrix == Matrix([])
+
+
+def test_standard_flag_is_the_identity_flag_built_without_a_matrix(monkeypatch):
+    dims = [*range(9), 64]
+    for m in dims:
+        flag, identity = Flag.standard(m), Flag(Matrix.identity(m))
+        assert flag == identity and hash(flag) == hash(identity)
+        assert flag.is_standard() and identity.is_standard()
+        assert flag.subspace(m) == Subspace.full(m)
+    built = []
+    original = Matrix.__init__
+
+    def counted(self, entries):
+        built.append(self)
+        original(self, entries)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    for m in dims:
+        Flag.standard(m)
+    assert built == []
+
+
+def test_from_upper_entries_rejects_a_repeated_pair():
+    with pytest.raises(ValueError, match=r"\(1, 2\) given twice"):
+        SkewForm.from_upper_entries(2, [(1, 2, 1), (1, 2, 5)])
+    with pytest.raises(ValueError, match="given twice"):
+        SkewForm.from_upper_entries(3, [(2, 3, "1/2"), (1, 3, 1), (2, 3, "1/2")])
 
 
 def test_from_upper_entries_materializes_skewness():
@@ -318,30 +346,9 @@ def test_restrict_matches_gram_of_flag_columns(rational_flag):
             # Diagonal flag: the standard flag's steps, with rational columns.
             flag = Flag(Matrix([[random_rational(rng, 4, 5) or 1 if i == j else 0 for j in range(m)] for i in range(m)]))
         j = rng.randint(1, m)
-        cols = [flag.column(a) for a in range(j)]
         # B(u, v) = u^T M v on the Fraction matrix M, sharing no code with restrict.
-        images = [[dot(row, v) for row in form.matrix.entries] for v in cols]
-        expected = [[dot(u, image) for image in images] for u in cols]
+        expected = [row[:j] for row in gram_of_flag(form, flag)[:j]]
         assert restrict(form, flag, j).matrix == Matrix(expected)
-
-
-def per_step_oracle(form, flag):
-    """The per-step definition of the selection and the signature.
-
-    Each flag step's radical is computed from the restriction of the form,
-    embedded into the ambient space and summed.  The restriction to V_j is
-    taken as the leading block of the restriction to V_m, which
-    test_restrict_is_ordering_consistent checks against restrict(form, flag, j).
-    """
-    selection = Subspace.zero(form.dim)
-    dims = []
-    gram = restrict(form, flag, flag.dim)
-    in_flag_coordinates = Flag.standard(flag.dim)
-    for j in range(1, flag.dim + 1):
-        radical = null_space(restrict(gram, in_flag_coordinates, j))
-        selection = selection + flag.embed(j, radical)
-        dims.append(radical.dim)
-    return selection, tuple(dims)
 
 
 def oracle_cases(seed, count, rational_flag):
@@ -408,16 +415,16 @@ def test_one_form_answers_each_flag_as_a_fresh_form_does(rational_flag):
 
 
 def test_signature_alone_builds_no_selection_span(monkeypatch):
-    from lagsel import presymplectic
-
+    # The selection is the span of the up-step vectors mapped into Q^m, and
+    # that map runs only when the selection is first read.
     spans = []
-    original = presymplectic._span_in_ambient
+    original = Flag._to_ambient
 
-    def counted(m, vectors, cols):
-        spans.append(m)
-        return original(m, vectors, cols)
+    def counted(flag, xs):
+        spans.append(flag.dim)
+        return original(flag, xs)
 
-    monkeypatch.setattr(presymplectic, "_span_in_ambient", counted)
+    monkeypatch.setattr(Flag, "_to_ambient", counted)
     rng = Random(79)
     form, flag = random_skew_form(rng, 7), random_flag(rng, 7)
     signature_vector(form, flag)

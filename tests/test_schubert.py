@@ -18,6 +18,7 @@ from lagsel.schubert import (
     selection_cell,
     verify_filtration_lemmas,
 )
+from oracles import new_directions
 
 STD5 = Flag.standard(5)
 
@@ -159,16 +160,9 @@ def test_cell_signature_consistency_on_random_forms():
 
 
 def per_step_jump_oracle(w, flag):
-    """The definition: j jumps when p_j is outside W + V_{j-1}, grown one vector at a time."""
-    m = flag.dim
-    indices = []
-    below = w
-    for j in range(1, m + 1):
-        if j > 1:
-            below = below + Subspace.from_vectors(m, [flag.column(j - 2)])
-        if not below.contains_vector(flag.column(j - 1)):
-            indices.append(j)
-    return tuple(indices)
+    """The definition: j jumps when p_j is outside W + V_{j-1}, by Fraction elimination."""
+    columns = [flag.column(a) for a in range(flag.dim)]
+    return tuple(t - w.dim + 1 for t in new_directions(list(w.basis) + columns) if t >= w.dim)
 
 
 def test_jump_indices_match_per_step_oracle(rational_flag):
@@ -332,7 +326,9 @@ def test_filtration_makes_no_intersect_and_at_most_two_eliminations_per_step(rat
     assert steps > 500
 
 
-def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, monkeypatch):
+@pytest.fixture
+def grams_and_sweeps(monkeypatch):
+    """Counts of the Gram matrices built and the sweeps run, in a dict the test may reset."""
     from lagsel import presymplectic
 
     calls = {"gram": 0, "sweep": 0}
@@ -346,13 +342,52 @@ def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, monkey
         calls["sweep"] += 1
         return sweep(g)
 
-    for module in (presymplectic, schubert):
-        monkeypatch.setattr(module, "_integer_gram", counted_gram)
+    monkeypatch.setattr(presymplectic, "_integer_gram", counted_gram)
     monkeypatch.setattr(presymplectic, "_sweep", counted_sweep)
+    return calls
+
+
+def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, grams_and_sweeps):
     for form, flag in filtration_cases(rational_flag, 60, 41):
-        calls.update(gram=0, sweep=0)
+        grams_and_sweeps.update(gram=0, sweep=0)
         assert verify_filtration_lemmas(form, flag).ok
-        assert calls == {"gram": 1, "sweep": 1}
+        assert grams_and_sweeps == {"gram": 1, "sweep": 1}
+
+
+def test_every_reader_of_one_form_and_flag_shares_one_gram_matrix_and_one_sweep(rational_flag, grams_and_sweeps):
+    # The verifier, the selection, the signature and the filtration of one
+    # form along one flag, in that order, read one kept Gram matrix and sweep.
+    rng = Random(53)
+    for m in (3, 5, 7):
+        form = random_skew_form(rng, m)
+        flags = (Flag.standard(m), random_flag(rng, m), rational_flag(rng, m))
+        assert len(set(flags)) == 3
+        for flag in flags:
+            grams_and_sweeps.update(gram=0, sweep=0)
+            report = verify_filtration_lemmas(form, flag)
+            selection, signature = vergne_select(form, flag), signature_vector(form, flag)
+            trace = filtration(form, flag)
+            assert grams_and_sweeps == {"gram": 1, "sweep": 1}, (m, flag)
+            assert report.ok and trace.final == selection and len(signature.entries) == m
+
+
+def test_lemma_report_catches_a_wrongly_keyed_sweep():
+    # The verifier reads the record kept on the form, so a record kept under
+    # the wrong flag fails a check instead of hiding behind a private sweep.
+    from lagsel import presymplectic
+
+    rng = Random(59)
+    caught = 0
+    for _ in range(40):
+        m = rng.randint(3, 7)
+        form, flag, other = random_skew_form(rng, m, zero_chance=0.2), random_flag(rng, m), random_flag(rng, m)
+        if vergne_select(SkewForm(form.matrix), flag) == vergne_select(SkewForm(form.matrix), other):
+            continue
+        form._sweeps[flag] = presymplectic._swept(SkewForm(form.matrix), other)
+        failed = {c.name for c in verify_filtration_lemmas(form, flag).failures()}
+        assert "chain ends at the flag selection" in failed
+        caught += 1
+    assert caught >= 20
 
 
 def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
@@ -373,14 +408,14 @@ def test_lemma_report_builds_witnesses_only_for_failures(monkeypatch):
     # One sum per step for its check; none more for a witness nobody reads.
     assert len(sums) == filtration(form, flag).d == 2
 
-    original = presymplectic._span_in_ambient
+    original = presymplectic.vergne_select
 
-    def dropped_row(m, vectors, cols):
-        selection = original(m, vectors, cols)
+    def dropped_row(b, flag=None):
+        selection = original(b, flag)
         return Subspace(selection.ambient_dim, selection.basis[:-1], selection.pivots[:-1])
 
-    # The verifier's _Sweep maps the up-step vectors to the selection here.
-    monkeypatch.setattr(presymplectic, "_span_in_ambient", dropped_row)
+    # The verifier reads the selection that callers get.
+    monkeypatch.setattr(schubert, "vergne_select", dropped_row)
     report = verify_filtration_lemmas(form, flag)
     failed = {c.name: c.witness for c in report.failures()}
     witness = failed["chain ends at the flag selection"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagsel import serialize
-from lagsel.lie import builtin
+from lagsel.lie import Functional, builtin
 from lagsel.linalg import Matrix, Subspace
 from lagsel.presymplectic import Flag, SkewForm
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
@@ -118,9 +118,8 @@ def test_lie_algebra_rejects_bad_bracket_indices(i, j):
 
 
 def test_functional_round_trip():
-    xi = serialize.functional_from_json(["1", "-2/3", "0"], 3)
+    xi = Functional.of(serialize.vector_from_json(["1", "-2/3", "0"], 3))
     assert serialize.functional_to_json(xi) == ["1", "-2/3", "0"]
-
 
 def test_filtration_trace_serialization():
     from lagsel.schubert import filtration
@@ -183,7 +182,6 @@ _triples = _often(st.lists(_often(st.tuples(_index, _index, _often(_vector)).map
 LOADER_INPUTS = {
     serialize.rational_from_obj: _json,
     serialize.vector_from_json: _json,
-    serialize.functional_from_json: _json,
     serialize.subspace_from_json: st.fixed_dictionaries({"ambient_dim": _dim, "basis": _rows}),
     serialize.skew_form_from_json: st.fixed_dictionaries({"dim": _dim, "upper": _triples}),
     serialize.flag_from_json: st.fixed_dictionaries({"dim": _dim, "columns": _rows}),
