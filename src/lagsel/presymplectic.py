@@ -20,10 +20,11 @@ R_{j+1}.  The selection is spanned by the up-step vectors, so it is maximal
 isotropic, and its jump set is the set of down steps.
 
 ``vergne_select`` and ``signature_vector`` are two readings of that one
-sweep.  The first query on a form and a flag runs it and keeps it on the
-form with its Gram matrix, keyed by the flag, and later queries (the
-filtration and its verifier too) read it there; the selection's span is
-built on its first read.  The record lives as long as the form object
+sweep.  The first query on a form and a flag keeps a record on the form,
+keyed by the flag, and later queries (the filtration and its verifier too)
+read it there.  The record holds the Gram matrix; the sweep runs on the
+first read of the selection or the signature, and the selection's span is
+built on its own first read.  The record lives as long as the form object
 does: there is no module-level cache.
 
 ``restrict`` and ``Flag.embed`` give the per-step definition (restrict to
@@ -139,9 +140,10 @@ class Flag:
     as ``integer_columns``: column a times ``scales[a]``, the lcm of its own
     denominators.  The pair is canonical, so equal basis matrices give equal
     flags and hashes.  A positive scaling of a basis vector changes no flag
-    step, so the integer primitives read these columns, through ``_read``
-    and ``_to_ambient``; only those and ``subspace`` know that the standard
-    flag's basis is the identity.  ``basis_matrix`` is built on first read.
+    step, so the integer primitives read these columns, through ``_read``,
+    ``_gram`` and ``_to_ambient``; only those and ``subspace`` know that the
+    standard flag's basis is the identity.  ``basis_matrix`` is built on
+    first read.
 
     ``Flag(basis_matrix)`` takes a ``Matrix`` and checks that it is square
     and invertible.
@@ -197,6 +199,16 @@ class Flag:
         if self._standard:
             return list(phis)
         return [[sum(map(mul, phi, col)) for col in self.integer_columns] for phi in phis]
+
+    def _gram(self, matrix: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+        """The Gram matrix P^T M P of the flag basis P for an integer matrix M.
+
+        ``_read`` multiplies by P on the right, so this is ((M^T P)^T) P.  The
+        standard flag returns M's rows themselves, so they are not copied.
+        """
+        if self._standard:
+            return list(matrix)
+        return self._read(zip(*self._read(zip(*matrix))))
 
     def _to_ambient(self, xs: Iterable[Sequence[int]]) -> list[list[int]]:
         """Integer vectors in flag coordinates into Q^m, x -> sum_a x_a p_a; x may stop at any V_j."""
@@ -297,12 +309,11 @@ def _integer_gram(b: SkewForm, flag: Flag) -> list[Sequence[int]]:
     """The Gram matrix P^T B P of the flag basis, in integers.
 
     B is ``b.integer_matrix`` and P's columns are ``flag.integer_columns``.
-    Positive scalings change no null space and no flag step.  ``_read``
-    multiplies by P on the right, so this is ((B^T P)^T) P.
+    Positive scalings change no null space and no flag step.
     """
     if b.dim != flag.dim:
         raise ValueError("form and flag dimensions differ")
-    return flag._read(zip(*flag._read(zip(*b.integer_matrix))))
+    return flag._gram(b.integer_matrix)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -360,20 +371,27 @@ class _Sweep:
     """The Gram matrix of a form along a flag, and its one sweep read two ways.
 
     ``gram`` is ``_integer_gram``'s matrix, which ``filtration`` reads too.
-    ``signature`` is the signature vector.  ``selection``, the span of the
-    up-step vectors in the ambient space, is built on first read, so a
-    signature-only query runs no elimination.
+    The sweep runs on the first read of ``signature``, the signature vector,
+    or of ``selection``, the span of the up-step vectors in the ambient
+    space, so a filtration-only query runs no sweep.  ``selection`` is built
+    on its own first read, so a signature-only query runs no elimination.
     """
 
     def __init__(self, b: SkewForm, flag: Flag):
         self.gram = _integer_gram(b, flag)
-        self._ups, dims = _sweep(self.gram)
         self._flag = flag
-        self.signature = SignatureVector(flag.dim, tuple(dims))
+
+    @cached_property
+    def _run(self) -> tuple[list[list[int]], list[int]]:
+        return _sweep(self.gram)
+
+    @cached_property
+    def signature(self) -> SignatureVector:
+        return SignatureVector(self._flag.dim, tuple(self._run[1]))
 
     @cached_property
     def selection(self) -> Subspace:
-        return Subspace._span(self._flag.dim, self._flag._to_ambient(self._ups))
+        return Subspace._span(self._flag.dim, self._flag._to_ambient(self._run[0]))
 
 
 def _swept(b: SkewForm, flag: Flag | None) -> _Sweep:

@@ -11,10 +11,12 @@ module has no numerical dependencies.
 
 Path probes sample the Lagrangian selection along exact rational paths of
 forms or functionals and report the gap to the selection at a distinguished
-parameter, together with stratum and cell labels per sample.  The verdicts
-are labeled evidence, never theorems: a run can witness a discontinuity
-(gaps bounded away from zero) or be consistent with continuity (gaps
-shrinking to zero), but cannot prove the latter.
+parameter, together with stratum and cell labels per sample.  A line of
+functionals costs two coadjoint forms, and each distinct selection one
+projector, gap and cell.  The verdicts are labeled evidence, never theorems:
+a run can witness a discontinuity (gaps bounded away from zero) or be
+consistent with continuity (gaps shrinking to zero), but cannot prove the
+latter.
 
 ``projector_sum_range_check`` is the one exact check living here: the range
 of a sum of the orthogonal projectors of several subspaces must equal the
@@ -31,7 +33,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .lie import Functional, coadjoint_form, verify_jordan_holder
-from .linalg import Subspace, _rref_int_rows
+from .linalg import Subspace, _rref_int_rows, as_rational
 from .presymplectic import Flag, SignatureVector, SkewForm, signature_vector, vergne_select
 from .schubert import JumpSet, jump_indices
 
@@ -45,7 +47,7 @@ _JACOBI_MAX_SWEEPS = 100
 
 
 def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def projector(sub: Subspace) -> list[list[float]]:
@@ -72,10 +74,7 @@ def projector(sub: Subspace) -> list[list[float]]:
     m = sub.ambient_dim
     proj = [[0.0] * m for _ in range(m)]
     for q in basis:
-        for i in range(m):
-            if q[i]:
-                for j in range(m):
-                    proj[i][j] += q[i] * q[j]
+        proj = [[x + a * b for x, b in zip(row, q)] if a else row for row, a in zip(proj, q)]
     return proj
 
 
@@ -94,8 +93,7 @@ def _float_orthonormal_basis(sub: Subspace) -> list[list[float]]:
         for _ in range(2):
             for q in basis:
                 c = _fdot(q, w)
-                for t in range(len(w)):
-                    w[t] -= c * q[t]
+                w = [x - c * y for x, y in zip(w, q)]
         norm = sqrt(_fdot(w, w))
         if norm < _ORTHO_TOL:
             raise ValueError("input vectors are numerically dependent")
@@ -249,19 +247,22 @@ def path_probe(
     Selections, strata and cells are computed exactly at every sample; only
     the gap against the selection at ``t_star`` is floating point.  Each
     form's ``vergne_select`` and ``signature_vector`` share one Gram matrix
-    and one sweep, and the projector onto the ``t_star`` selection is built
-    once.
+    and one sweep, and each distinct selection one projector, gap and cell
+    (canonical rows compare exactly, so a reused gap is the same float).
     """
     star = form_at(t_star)
     p_star = vergne_select(star, flag)
     proj_star = projector(p_star)
+    seen = {p_star: (0.0, jump_indices(p_star, flag))}  # a projector minus itself is exactly 0
     records = []
     for t in samples:
         b = form_at(t)
         p = vergne_select(b, flag)
-        records.append(PathSample(t, _projector_gap(projector(p), proj_star), signature_vector(b, flag), jump_indices(p, flag)))
+        if p not in seen:
+            seen[p] = (_projector_gap(projector(p), proj_star), jump_indices(p, flag))
+        records.append(PathSample(t, seen[p][0], signature_vector(b, flag), seen[p][1]))
     records_t = tuple(records)
-    return PathProbeReport(t_star, signature_vector(star, flag), jump_indices(p_star, flag), records_t, _verdict(records_t, t_star))
+    return PathProbeReport(t_star, signature_vector(star, flag), seen[p_star][1], records_t, _verdict(records_t, t_star))
 
 
 def functional_path_probe(
@@ -272,15 +273,24 @@ def functional_path_probe(
     samples: Sequence[Fraction],
     t_star: Fraction,
 ) -> PathProbeReport:
-    """Path probe for the coadjoint forms of the functionals base + t * direction."""
+    """Path probe for the coadjoint forms of the functionals base + t * direction.
+
+    B_xi is linear in xi: from the forms G_b / s_b of base and G_d / s_d of
+    direction, the form at t = n/q is (q s_d G_b + n s_b G_d) / (q s_b s_d),
+    whose canonical pair is that of the functional base + t * direction.
+    """
     if not verify_jordan_holder(algebra, flag):
         raise ValueError("flag is not a Jordan-Hölder sequence for this algebra")
     b = Functional.of(base)
     d = Functional.of(direction)
     if b.m != d.m:
         raise ValueError("base and direction lengths differ")
+    g_b, g_d = coadjoint_form(algebra, b), coadjoint_form(algebra, d)
 
     def form_at(t: Fraction) -> SkewForm:
-        return coadjoint_form(algebra, Functional.of([x + t * y for x, y in zip(b.coeffs, d.coeffs)]))
+        n, q = as_rational(t).as_integer_ratio()
+        u, v = q * g_d.scale, n * g_b.scale
+        rows = [[u * x + v * y for x, y in zip(r, s)] for r, s in zip(g_b.integer_matrix, g_d.integer_matrix)]
+        return SkewForm._from_integers(rows, q * g_b.scale * g_d.scale)
 
     return path_probe(form_at, flag, samples, t_star)

@@ -6,9 +6,14 @@ flag basis by dot products, and the flag selection as the sum of the
 per-step radicals.  Only the inputs (a form's Fraction matrix, a flag's
 Fraction columns, a subspace's Fraction basis) and the canonical
 ``Subspace`` the selection is compared as come from ``lagsel``.
+
+``loop_float_projector`` is the one float reference: the probe's projector
+written with explicit index loops, against which its comprehensions must
+agree bit for bit.
 """
 
 from fractions import Fraction
+from math import sqrt
 
 from lagsel.linalg import Subspace
 
@@ -107,3 +112,44 @@ def per_step_oracle(form, flag):
         vectors += [[dot(x, [col[t] for col in cols[:j]]) for t in range(m)] for x in radical]
         dims.append(len(radical))
     return Subspace.from_vectors(m, vectors), tuple(dims)
+
+
+def _loop_fdot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def loop_float_projector(sub):
+    """The float projector of ``lagsel.probe.projector``, written as index loops.
+
+    The same operations in the same order: each canonical row divided by its
+    pivot times 2^e, modified Gram-Schmidt run twice, the orthonormality
+    check, and the projector as a sum of outer products, entry by entry.
+    Raises ValueError where the library takes its exact fallback.
+    """
+    basis = []
+    for row, pivot in zip(sub.rows, sub.pivots):
+        p = row[pivot]
+        e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - 500)
+        w = [x / (p << e) for x in row]
+        for _ in range(2):
+            for q in basis:
+                c = _loop_fdot(q, w)
+                for t in range(len(w)):
+                    w[t] -= c * q[t]
+        norm = sqrt(_loop_fdot(w, w))
+        if norm < 1e-12:
+            raise ValueError("input vectors are numerically dependent")
+        basis.append([x / norm for x in w])
+    for a, u in enumerate(basis):
+        for b in range(a, len(basis)):
+            want = 1.0 if a == b else 0.0
+            if abs(_loop_fdot(u, basis[b]) - want) > 100 * 1e-12:
+                raise ValueError("columns are not orthonormal")
+    m = sub.ambient_dim
+    proj = [[0.0] * m for _ in range(m)]
+    for q in basis:
+        for i in range(m):
+            if q[i]:
+                for j in range(m):
+                    proj[i][j] += q[i] * q[j]
+    return proj

@@ -19,9 +19,10 @@ from lagsel.probe import (
     projector_sum_range_check,
     spectral_norm,
 )
-from lagsel.sampling import random_flag, random_rational, random_skew_form, random_subspace
+from lagsel.sampling import random_flag, random_nonzero_rational, random_rational, random_skew_form, random_subspace
 from lagsel.schubert import jump_indices
 from lagsel.suites import PROBE_PRESETS, preset_samples
+from oracles import loop_float_projector
 
 
 def matmul(a, b):
@@ -155,8 +156,8 @@ def test_projector_matches_the_oracle_bit_for_bit():
     assert min(kinds) >= 100
 
 
-@pytest.mark.parametrize("digits", [200, 400, 1000])
-def test_projector_matches_the_oracle_on_scaled_rows(digits):
+def scaled_row_subspaces(digits):
+    """Subspaces whose canonical rows need a power-of-two scaling into float range."""
     big = 10**digits
     g54 = builtin("g54")
     subs = [
@@ -167,7 +168,13 @@ def test_projector_matches_the_oracle_on_scaled_rows(digits):
     # The probe selections of g54 at xi = (10^digits, t, 0, 0, 0).
     for t in (Fraction(1, 2), Fraction(1, 4)):
         subs.append(vergne_select(coadjoint_form(g54.algebra, Functional.of([big, t, 0, 0, 0])), g54.flag))
-    for sub in subs:
+    return subs
+
+
+@pytest.mark.parametrize("digits", [200, 400, 1000])
+def test_projector_matches_the_oracle_on_scaled_rows(digits):
+    big = 10**digits
+    for sub in scaled_row_subspaces(digits):
         assert _scaled_rows(sub) > 0
         assert projector(sub) == oracle_float_projector(sub)
     # Rows that round to parallel floats: the float path refuses them, and
@@ -413,12 +420,126 @@ def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeyp
 
         counts.update(sweep=0, projector=0)
         report = path_probe(form_at, flag, samples, Fraction(0))
-        assert counts == {"sweep": len(samples) + 1, "projector": len(samples) + 1}
+        built = dict(counts)
         p_star = vergne_select(form_at(Fraction(0)), flag)
+        selections = {p_star} | {vergne_select(form_at(t), flag) for t in samples}
+        assert built == {"sweep": len(samples) + 1, "projector": len(selections)}
         assert report.star_stratum == signature_vector(form_at(Fraction(0)), flag)
         assert report.star_cell == jump_indices(p_star, flag)
         for sample, t in zip(report.samples, samples):
             p = vergne_select(form_at(t), flag)
-            assert sample.gap == gap(p, p_star)
+            assert sample.gap.hex() == gap(p, p_star).hex()
             assert sample.stratum == signature_vector(form_at(t), flag)
             assert sample.cell == jump_indices(p, flag)
+
+
+def line_point(base, direction, t):
+    return [Fraction(x) + t * Fraction(y) for x, y in zip(base, direction)]
+
+
+@pytest.mark.parametrize("name", ["g54-discontinuity", "g615-discontinuity"])
+def test_discontinuity_preset_builds_one_projector_per_distinct_selection(name, monkeypatch):
+    # 21 forms, 2 distinct selections: 2 projectors, and every record is
+    # still the per-sample definition, gap floats bit for bit.
+    from lagsel import probe
+
+    kind, base, direction = PROBE_PRESETS[name]
+    built = builtin(kind)
+    calls = []
+    build_projector = probe.projector
+    monkeypatch.setattr(probe, "projector", lambda sub: calls.append(sub) or build_projector(sub))
+    report = functional_path_probe(built.algebra, built.flag, base, direction, preset_samples(20), Fraction(0))
+    monkeypatch.undo()
+    assert len(calls) == 2 and len(report.samples) == 20
+    p_star = vergne_select(coadjoint_form(built.algebra, Functional.of(base)), built.flag)
+    for sample in report.samples:
+        p = vergne_select(coadjoint_form(built.algebra, Functional.of(line_point(base, direction, sample.t))), built.flag)
+        assert sample.gap.hex() == gap(p, p_star).hex()
+        assert sample.cell == jump_indices(p, built.flag)
+
+
+def line_cases(rng):
+    """Builtin algebras and seeded axb algebras, each with its Jordan-Hölder flag."""
+    yield from (builtin(kind) for kind in ("g54", "g615", "heisenberg:1", "heisenberg:2", "heisenberg:3"))
+    for n in range(4):
+        k = 1 + n % 3
+        action = Matrix([[random_rational(rng) if i <= j else 0 for j in range(k)] for i in range(k)])
+        yield builtin("axb", action)
+
+
+def test_functional_path_forms_are_the_coadjoint_forms_of_the_line(monkeypatch):
+    # Every form the probe builds from the two endpoint forms equals the
+    # coadjoint form of base + t * direction, for zero and nonzero endpoints,
+    # t = 0, negative t and t with large denominators.
+    from lagsel import probe
+
+    built_forms = []
+    run_probe = probe.path_probe
+
+    def recording(form_at, flag, samples, t_star):
+        def recorded(t):
+            built_forms.append((t, form_at(t)))
+            return built_forms[-1][1]
+
+        return run_probe(recorded, flag, samples, t_star)
+
+    monkeypatch.setattr(probe, "path_probe", recording)
+    rng = Random(73)
+    checked = 0
+    for case in line_cases(rng):
+        m = case.algebra.dim
+        for n in range(6):
+            base = [0] * m if n == 0 else [random_rational(rng, 20, 20) for _ in range(m)]
+            direction = [0] * m if n == 1 else [random_rational(rng, 20, 20) for _ in range(m)]
+            samples = [
+                Fraction(0),
+                -random_nonzero_rational(rng),
+                Fraction(rng.randint(-(10**40), 10**40), 3**90),
+                Fraction(1, 2**100) - 1,
+                random_rational(rng, 10**6, 10**6),
+            ]
+            built_forms.clear()
+            functional_path_probe(case.algebra, case.flag, base, direction, samples, samples[n % len(samples)])
+            assert [t for t, _ in built_forms] == [samples[n % len(samples)], *samples]
+            for t, form in built_forms:
+                assert form == coadjoint_form(case.algebra, Functional.of(line_point(base, direction, t)))
+                checked += 1
+    assert checked == 9 * 6 * 6
+
+
+def _hexes(matrix):
+    return [[x.hex() for x in row] for row in matrix]
+
+
+def _loop_gap(p1, p2):
+    return spectral_norm([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(p1, p2)])
+
+
+def test_projector_and_gap_match_the_loop_reference_bit_for_bit():
+    # The comprehension forms of the dot product, the Gram-Schmidt update and
+    # the outer-product rows give the loop reference's floats, on this
+    # interpreter, whatever its sum() does.
+    rng = Random(79)
+    for n in range(1000):
+        m = rng.randint(2, 8)
+        if n % 2:
+            w1, w2 = random_subspace(rng, m), random_subspace(rng, m)
+        else:
+            flag = random_flag(rng, m)
+            w1, w2 = (vergne_select(random_skew_form(rng, m), flag) for _ in range(2))
+        p1, p2 = loop_float_projector(w1), loop_float_projector(w2)
+        assert _hexes(projector(w1)) == _hexes(p1)
+        assert gap(w1, w2).hex() == _loop_gap(p1, p2).hex()
+    subs = scaled_row_subspaces(200)
+    for w1 in subs:
+        assert _hexes(projector(w1)) == _hexes(loop_float_projector(w1))
+        for w2 in subs:
+            if w2.ambient_dim == w1.ambient_dim:
+                assert gap(w1, w2).hex() == _loop_gap(loop_float_projector(w1), loop_float_projector(w2)).hex()
+    for kind, base, direction in PROBE_PRESETS.values():
+        built = builtin(kind)
+        report = functional_path_probe(built.algebra, built.flag, base, direction, preset_samples(), Fraction(0))
+        p_star = loop_float_projector(vergne_select(coadjoint_form(built.algebra, Functional.of(base)), built.flag))
+        for sample in report.samples:
+            p = vergne_select(coadjoint_form(built.algebra, Functional.of(line_point(base, direction, sample.t))), built.flag)
+            assert sample.gap.hex() == _loop_gap(loop_float_projector(p), p_star).hex()

@@ -371,6 +371,18 @@ def test_every_reader_of_one_form_and_flag_shares_one_gram_matrix_and_one_sweep(
             assert report.ok and trace.final == selection and len(signature.entries) == m
 
 
+def test_a_filtration_only_query_builds_the_gram_matrix_and_runs_no_sweep(rational_flag, grams_and_sweeps):
+    # The filtration reads the kept Gram matrix only; the sweep waits for the
+    # first selection or signature query, and then runs once for both.
+    for form, flag in filtration_cases(rational_flag, 60, 67):
+        grams_and_sweeps.update(gram=0, sweep=0)
+        trace = filtration(form, flag)
+        assert grams_and_sweeps == {"gram": 1, "sweep": 0}
+        selection, signature = vergne_select(form, flag), signature_vector(form, flag)
+        assert grams_and_sweeps == {"gram": 1, "sweep": 1}
+        assert trace.final == selection and len(signature.entries) == flag.dim
+
+
 def test_lemma_report_catches_a_wrongly_keyed_sweep():
     # The verifier reads the record kept on the form, so a record kept under
     # the wrong flag fails a check instead of hiding behind a private sweep.
