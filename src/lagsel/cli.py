@@ -5,7 +5,9 @@ Exit codes follow a fixed contract: 0 for success, 1 for invalid input
 check fails or any other exception escapes a handler; the last one only ever
 fires on a bug, so CI can tell user error from broken math.  ``--json``
 switches every subcommand to a machine-readable payload; all output is
-deterministic given inputs and seed.
+deterministic given inputs and seed.  The subcommands are one table,
+``_COMMANDS``: a run builds only its own command's parser, and help,
+``--version`` and a bad command build all ten.
 """
 
 from __future__ import annotations
@@ -260,66 +262,67 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(None, message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORM = ("form", {"help": "skew form JSON file"})
+_FLAG = ("--flag", {"help": "flag JSON file"})
+_FLAG_DEFAULT = ("--flag", {"help": "flag JSON file (default: standard basis)"})
+_XI = ("--xi", {"required": True, "help": "comma-separated rational coefficients"})
+_AXB_MATRIX = ("--matrix", {"help": "axb action matrix, rows joined by ';'"})
+
+# Each subcommand's handler, help text and arguments, in help order.  An
+# argument is the name and the options build_parser passes to add_argument
+# after --json.
+_COMMANDS = {
+    "polarize": (cmd_polarize, "Lagrangian selection of a skew form", [_FORM, _FLAG_DEFAULT]),
+    "vergne": (cmd_vergne, "Vergne polarization of a functional on a Lie algebra", [
+        ("algebra", {"help": "builtin name (g54, g615, heisenberg:n, axb) or algebra JSON file"}),
+        _XI, _FLAG_DEFAULT, _AXB_MATRIX]),
+    "filtration": (cmd_filtration, "isotropic filtration trace of a skew form", [_FORM, _FLAG]),
+    "jump": (cmd_jump, "jump indices of a subspace relative to a flag", [
+        ("subspace", {"help": "subspace JSON file"}), _FLAG]),
+    "stratum": (cmd_stratum, "stratum signature of a functional", [
+        ("algebra", {"help": "builtin name or algebra JSON file"}), _XI, _FLAG,
+        ("--matrix", {"help": "axb action matrix"})]),
+    "cell": (cmd_cell, "translate a Schubert cell into its stratum signature", [
+        ("--m", {"type": int, "required": True, "help": "ambient dimension"}),
+        ("--jumps", {"default": "", "help": "comma-separated jump indices (empty for the open cell)"})]),
+    "verify": (cmd_verify, "run a reproducible verification suite", [
+        ("suite", {"choices": suite_names()}), ("--seed", {"type": int, "default": 0}),
+        ("--trials", {"type": int})]),
+    "probe": (cmd_probe, "sample a path of functionals and report gap evidence", [
+        ("spec", {"nargs": "?", "help": "probe spec JSON file"}),
+        ("--preset", {"choices": sorted(PROBE_PRESETS)})]),
+    "builtin": (cmd_builtin, "print a builtin algebra", [
+        ("kind", {"help": "g54, g615, heisenberg:n, or axb"}), _AXB_MATRIX]),
+}
+
+
+def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each command in ``names``.
+
+    ``main`` passes only the command a run names, so a run builds two
+    parsers; help, ``--version`` and a bad command build all ten.
+    """
     parser = _Parser(
         prog="lagsel",
         description="Exact Lagrangian selections, Vergne polarizations, and Schubert-cell strata",
     )
     parser.add_argument("--version", action="version", version="lagsel 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, handler, help_text):
+    for name in names:
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a JSON payload")
-        return p
-
-    p = add("polarize", cmd_polarize, "Lagrangian selection of a skew form")
-    p.add_argument("form", help="skew form JSON file")
-    p.add_argument("--flag", help="flag JSON file (default: standard basis)")
-
-    p = add("vergne", cmd_vergne, "Vergne polarization of a functional on a Lie algebra")
-    p.add_argument("algebra", help="builtin name (g54, g615, heisenberg:n, axb) or algebra JSON file")
-    p.add_argument("--xi", required=True, help="comma-separated rational coefficients")
-    p.add_argument("--flag", help="flag JSON file (default: standard basis)")
-    p.add_argument("--matrix", help="axb action matrix, rows joined by ';'")
-
-    p = add("filtration", cmd_filtration, "isotropic filtration trace of a skew form")
-    p.add_argument("form", help="skew form JSON file")
-    p.add_argument("--flag", help="flag JSON file")
-
-    p = add("jump", cmd_jump, "jump indices of a subspace relative to a flag")
-    p.add_argument("subspace", help="subspace JSON file")
-    p.add_argument("--flag", help="flag JSON file")
-
-    p = add("stratum", cmd_stratum, "stratum signature of a functional")
-    p.add_argument("algebra", help="builtin name or algebra JSON file")
-    p.add_argument("--xi", required=True, help="comma-separated rational coefficients")
-    p.add_argument("--flag", help="flag JSON file")
-    p.add_argument("--matrix", help="axb action matrix")
-
-    p = add("cell", cmd_cell, "translate a Schubert cell into its stratum signature")
-    p.add_argument("--m", type=int, required=True, help="ambient dimension")
-    p.add_argument("--jumps", default="", help="comma-separated jump indices (empty for the open cell)")
-
-    p = add("verify", cmd_verify, "run a reproducible verification suite")
-    p.add_argument("suite", choices=suite_names())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = add("probe", cmd_probe, "sample a path of functionals and report gap evidence")
-    p.add_argument("spec", nargs="?", help="probe spec JSON file")
-    p.add_argument("--preset", choices=sorted(PROBE_PRESETS))
-
-    p = add("builtin", cmd_builtin, "print a builtin algebra")
-    p.add_argument("kind", help="g54, g615, heisenberg:n, or axb")
-    p.add_argument("--matrix", help="axb action matrix, rows joined by ';'")
-
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level options take no value, so argparse hands an exact command
+    # name in argv[0] and every later token to that subparser.
+    parser = build_parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except ArgumentError as exc:

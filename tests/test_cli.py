@@ -449,3 +449,64 @@ def test_overlong_algebra_name_exits_1_with_one_line(capsys):
     assert out == ""
     assert err.startswith("error: dimension ") and err.endswith(" exceeds the limit of 64\n")
     assert err.count("\n") == 1
+
+
+def _count_parsers(monkeypatch):
+    """A one-item list counting the ``_Parser`` objects built from now on."""
+    from lagsel import cli
+
+    built, init = [0], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    return built
+
+
+def test_a_run_builds_only_its_own_commands_parser(tmp_path, capsys, monkeypatch):
+    form = write_json(tmp_path, "form.json", {"dim": 5, "upper": [[3, 4, "-1"]]})
+    sub = write_json(tmp_path, "sub.json", serialize.subspace_to_json(Subspace.full(3)))
+    valid = [
+        ["polarize", form],
+        ["vergne", "g54", "--xi", "0,1,0,0,0"],
+        ["filtration", form],
+        ["jump", sub],
+        ["stratum", "g615", "--xi", "0,1,0,0,0,0"],
+        ["cell", "--m", "5", "--jumps", "4"],
+        ["verify", "lagrangian-contract", "--trials", "1"],
+        ["probe", "--preset", "g54-instratum"],
+        ["builtin", "g54"],
+    ]
+    built = _count_parsers(monkeypatch)
+    for argv in valid:
+        built[0] = 0
+        assert run(capsys, *argv, "--json")[0] == 0, argv
+        assert built[0] == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["--version"], ["bogus"], ["pol", "x"], ["-h", "polarize"], ["--json", "polarize", "x"]],
+)
+def test_help_version_and_bad_commands_build_every_parser(capsys, monkeypatch, argv):
+    built = _count_parsers(monkeypatch)
+    try:
+        main(argv)
+    except SystemExit:  # help and version exit 0, as argparse does
+        pass
+    capsys.readouterr()
+    assert built[0] == 10
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["lagsel", "cell", "--m", "5", "--jumps", "4", "--json"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"cell": [4], "signature": [1, 2, 3, 2, 3]}
+    monkeypatch.setattr(sys, "argv", ["lagsel"])
+    assert main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

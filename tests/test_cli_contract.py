@@ -6,15 +6,20 @@ exit code 0, 1 or 2 with at most one line on stderr, no traceback, and
 no ``internal error:`` line from the last-resort handler.
 Dimensions stay at most 8 and lists short, so no example can allocate
 without bound; ``main`` runs in process, with no subprocess per example.
+The same command lines check that the parser ``main`` builds for one
+command parses exactly as the parser with all nine does.
 """
 
+import contextlib
+import io
 import json
+from argparse import ArgumentError
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagsel import serialize
-from lagsel.cli import main
+from lagsel import cli, serialize
+from lagsel.cli import build_parser, main
 from lagsel.lie import builtin
 from lagsel.suites import PROBE_PRESETS, suite_names
 
@@ -217,5 +222,37 @@ def test_every_command_line_exits_0_1_or_2_with_at_most_one_stderr_line(tmp_path
         assert err.count("\n") <= 1 and "Traceback" not in err, (args, err)
         # No known input reaches the last-resort handler.
         assert not err.startswith("internal error:"), (args, err)
+
+    check()
+
+
+def _parse(parser, argv):
+    """What parsing ``argv`` gives: the namespace, the error, or the exit and its output."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except ArgumentError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:  # --help and --version
+        return "exit", exc.code, out.getvalue()
+
+
+def _parses_alike(args):
+    # main's choice: the named command's parser, else all nine.
+    names = [args[0]] if args and args[0] in cli._COMMANDS else cli._COMMANDS
+    assert _parse(build_parser(names), args) == _parse(build_parser(), args), args
+
+
+def test_one_commands_parser_parses_as_the_full_parser(tmp_path):
+    for argv in [["--", "polarize", "x"], ["polarize", "x", "--version"], ["POLARIZE"], ["polarize", "-h"]]:
+        _parses_alike(argv)
+    for name in cli._COMMANDS:
+        _parses_alike([name, "--help"])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=_ARGV)
+    def check(argv):
+        _parses_alike(_materialize(argv, tmp_path))
 
     check()
