@@ -6,7 +6,7 @@ labels, Vergne polarizations of completely solvable Lie algebras, and
 floating-point gap probes that witness where the selection is continuous.
 """
 
-from .linalg import Matrix, Rational, Subspace, contains, intersect, kernel, rref, subspace_sum
+from .linalg import Matrix, Subspace, contains, intersect, kernel, rref, subspace_sum
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Matrix",
-    "Rational",
     "Subspace",
     "contains",
     "intersect",

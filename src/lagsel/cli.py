@@ -20,7 +20,7 @@ import sys
 from argparse import ArgumentError
 from fractions import Fraction
 
-from . import serialize
+from . import __version__, serialize
 from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polarization
 from .linalg import Matrix, as_rational
 from .presymplectic import Flag, signature_vector, vergne_select
@@ -306,7 +306,7 @@ def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
         prog="lagsel",
         description="Exact Lagrangian selections, Vergne polarizations, and Schubert-cell strata",
     )
-    parser.add_argument("--version", action="version", version="lagsel 0.1.0")
+    parser.add_argument("--version", action="version", version=f"lagsel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in names:
         handler, help_text, arguments = _COMMANDS[name]

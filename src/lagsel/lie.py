@@ -421,7 +421,16 @@ def _axb(matrix: Matrix) -> BuiltinAlgebra:
 # the named algebras are few and stay in the cache.
 @lru_cache(maxsize=16)
 def builtin(kind: str, matrix: Matrix | None = None) -> BuiltinAlgebra:
-    """Look up a builtin algebra: ``g54``, ``g615``, ``heisenberg:n``, ``axb``."""
+    """Look up a builtin algebra: ``g54``, ``g615``, ``heisenberg:n``, ``axb``.
+
+    Only ``axb`` takes ``matrix``, and requires it.
+    """
+    if kind == "axb":
+        if matrix is None:
+            raise ValueError("axb requires the action matrix of the last basis vector")
+        return _axb(matrix)
+    if matrix is not None:
+        raise ValueError(f"only axb takes an action matrix, not {kind!r}")
     if kind == "g54":
         return _g54()
     if kind == "g615":
@@ -430,10 +439,6 @@ def builtin(kind: str, matrix: Matrix | None = None) -> BuiltinAlgebra:
         return _heisenberg(int(kind.split(":", 1)[1]))
     if kind == "heisenberg":
         return _heisenberg(1)
-    if kind == "axb":
-        if matrix is None:
-            raise ValueError("axb requires the action matrix of the last basis vector")
-        return _axb(matrix)
     raise ValueError(f"unknown builtin algebra {kind!r}")
 
 

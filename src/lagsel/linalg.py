@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 # Largest dimension accepted for an algebra, form, flag, subspace or jump
@@ -196,18 +194,11 @@ class Matrix:
         return len(self.entries[0]) if self.entries else 0
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)

@@ -57,7 +57,10 @@ class SkewForm:
     selection and signature along each flag queried are kept on the form
     for its lifetime (see ``_swept``).
 
-    ``SkewForm(matrix)`` takes a ``Matrix`` and enforces exact skew symmetry.
+    ``SkewForm(matrix)`` takes a ``Matrix``, the only input not skew by
+    construction, and checks there that it is square and exactly
+    skew-symmetric.  Every form the library builds itself goes through
+    ``_from_integers``, which checks nothing.
     """
 
     integer_matrix: tuple[tuple[int, ...], ...]
@@ -66,21 +69,24 @@ class SkewForm:
     def __init__(self, matrix: Matrix):
         entries = matrix.entries
         scale = denominator_lcm(x for row in entries for x in row)
-        self._set([[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale)
+        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+        n = matrix.rows
+        if matrix.cols != n or any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError("matrix of a skew form must be exactly skew-symmetric")
+        self._set(rows, scale)
 
     def _set(self, rows: Sequence[Sequence[int]], scale: int) -> None:
-        n = len(rows)
-        if any(len(row) != n for row in rows) or any(
-            rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)
-        ):
-            raise ValueError("matrix of a skew form must be exactly skew-symmetric")
         g = gcd(scale, *(x for row in rows for x in row)) if scale != 1 else 1
         object.__setattr__(self, "integer_matrix", tuple(tuple(x // g for x in row) for row in rows))
         object.__setattr__(self, "scale", scale // g)
 
     @classmethod
     def _from_integers(cls, rows: Sequence[Sequence[int]], scale: int) -> SkewForm:
-        """The form with Gram matrix ``rows / scale``, for integer rows and scale > 0."""
+        """The form with Gram matrix ``rows / scale``, divided by the gcd of scale and entries.
+
+        The caller guarantees that ``rows`` is a square, exactly skew integer
+        matrix and that ``scale > 0``; nothing here checks it.
+        """
         form = object.__new__(cls)
         form._set(rows, scale)
         return form
@@ -120,16 +126,6 @@ class SkewForm:
             rows[i][j] = v.numerator * (scale // v.denominator)
             rows[j][i] = -rows[i][j]
         return cls._from_integers(rows, scale)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.integer_matrix))
-
-    def __add__(self, other: SkewForm) -> SkewForm:
-        if self.dim != other.dim:
-            raise ValueError("shape mismatch in skew form sum")
-        s, t = self.scale, other.scale
-        rows = [[t * x + s * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.integer_matrix, other.integer_matrix)]
-        return SkewForm._from_integers(rows, s * t)
 
 
 @dataclass(frozen=True, init=False)
@@ -183,9 +179,6 @@ class Flag:
         flag = object.__new__(cls)
         flag._set(Subspace.full(dim).rows, (1,) * dim, True)
         return flag
-
-    def is_standard(self) -> bool:
-        return self._standard
 
     def column(self, a: int) -> Vector:
         """The a-th flag basis vector (0-based)."""

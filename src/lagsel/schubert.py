@@ -266,8 +266,9 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     radical = null_space(b)
     jump_n = jump_indices(radical, flag)
     jump_p = jump_indices(trace.final, flag)
-    # The relative radical b_perp(p) ∩ p of each chain member, once per member.
-    radicals = [intersect(b_perp(b, p), p) for p in trace.chain] if d else []
+    # The relative radical b_perp(p) ∩ p of each chain member, once per
+    # member.  For p^0 = Q^m it is N(B), already in hand as ``radical``.
+    radicals = [radical, *(intersect(b_perp(b, p), p) for p in trace.chain[1:])] if d else []
 
     for k in range(d):
         p_k, p_k1 = trace.chain[k], trace.chain[k + 1]

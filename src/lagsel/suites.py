@@ -126,20 +126,23 @@ def _check_sample(
             )
 
 
-def _g54_regions(rng: Random, per_region: int):
-    for _ in range(per_region):
-        yield "region x1!=0", random_functional_coeffs(rng, 5, nonzero_at=(1,))
-        yield "region x1=0, x2!=0", random_functional_coeffs(rng, 5, zero_at=(1,), nonzero_at=(2,))
-        yield "region x1=0, x3!=0", random_functional_coeffs(rng, 5, zero_at=(1, 2), nonzero_at=(3,))
-        yield "region x1=x2=x3=0", random_functional_coeffs(rng, 5, zero_at=(1, 2, 3))
-
-
-def _g615_regions(rng: Random, per_region: int):
-    for _ in range(per_region):
-        yield "region x2!=0", random_functional_coeffs(rng, 6, nonzero_at=(2,))
-        yield "region x2=0, x1!=0", random_functional_coeffs(rng, 6, zero_at=(2,), nonzero_at=(1,))
-        yield "region x2=0, x3!=0", random_functional_coeffs(rng, 6, zero_at=(1, 2), nonzero_at=(3,))
-        yield "region x1=x2=x3=0", random_functional_coeffs(rng, 6, zero_at=(1, 2, 3))
+# The four regions of g54's and g615's duals that the closed-form oracles and
+# the orbit parametrization split on: (label, pins for
+# random_functional_coeffs, number of orbit parameters).
+_REGIONS = {
+    "g54": (
+        ("x1!=0", {"nonzero_at": (1,)}, 2),
+        ("x1=0,x2!=0", {"zero_at": (1,), "nonzero_at": (2,)}, 2),
+        ("x1=x2=0,x3!=0", {"zero_at": (1, 2), "nonzero_at": (3,)}, 2),
+        ("x1=x2=x3=0", {"zero_at": (1, 2, 3)}, 0),
+    ),
+    "g615": (
+        ("x2!=0", {"nonzero_at": (2,)}, 2),
+        ("x2=0,x1!=0", {"zero_at": (2,), "nonzero_at": (1,)}, 2),
+        ("x1=x2=0,x3!=0", {"zero_at": (1, 2), "nonzero_at": (3,)}, 2),
+        ("x1=x2=x3=0", {"zero_at": (1, 2, 3)}, 0),
+    ),
+}
 
 
 def _random_upper_triangular(rng: Random, n: int) -> Matrix:
@@ -177,13 +180,12 @@ def run_example_oracles(seed: int = 0, trials: int = 200) -> SuiteReport:
     report = SuiteReport("example-oracles", seed, trials)
     rng = Random(seed)
 
-    g54 = builtin("g54")
-    for label, coeffs in _g54_regions(rng, trials):
-        _check_sample(report, g54, Functional.of(coeffs), label)
-
-    g615 = builtin("g615")
-    for label, coeffs in _g615_regions(rng, trials):
-        _check_sample(report, g615, Functional.of(coeffs), label)
+    for kind, regions in _REGIONS.items():
+        built = builtin(kind)
+        for _ in range(trials):
+            for label, pins, _arity in regions:
+                coeffs = random_functional_coeffs(rng, built.dim, **pins)
+                _check_sample(report, built, Functional.of(coeffs), f"region {label}")
 
     for n_idx in range(trials):
         n = 1 + n_idx % 4
@@ -202,27 +204,11 @@ def run_example_oracles(seed: int = 0, trials: int = 200) -> SuiteReport:
     return report
 
 
-_ORBIT_BRANCHES = {
-    "g54": [
-        ("x1!=0", dict(nonzero_at=(1,)), 2),
-        ("x1=0,x2!=0", dict(zero_at=(1,), nonzero_at=(2,)), 2),
-        ("x1=x2=0,x3!=0", dict(zero_at=(1, 2), nonzero_at=(3,)), 2),
-        ("fixed point", dict(zero_at=(1, 2, 3)), 0),
-    ],
-    "g615": [
-        ("x2!=0", dict(nonzero_at=(2,)), 2),
-        ("x2=0,x1!=0", dict(zero_at=(2,), nonzero_at=(1,)), 2),
-        ("x1=x2=0,x3!=0", dict(zero_at=(1, 2), nonzero_at=(3,)), 2),
-        ("fixed point", dict(zero_at=(1, 2, 3)), 0),
-    ],
-}
-
-
 def run_casimir(seed: int = 0, trials: int = 500) -> SuiteReport:
     """Casimir invariance plus orbit-parametrization consistency per branch."""
     report = SuiteReport("casimir", seed, trials)
     rng = Random(seed)
-    for kind in ("g54", "g615"):
+    for kind, regions in _REGIONS.items():
         built = builtin(kind)
         m = built.dim
         for n in range(trials):
@@ -233,7 +219,7 @@ def run_casimir(seed: int = 0, trials: int = 500) -> SuiteReport:
                     f"{kind} trial {n}: invariance fails at xi={[str(c) for c in xi.coeffs]}"
                 )
         per_branch = max(1, trials // 5)
-        for label, pins, arity in _ORBIT_BRANCHES[kind]:
+        for label, pins, arity in regions:
             for n in range(per_branch):
                 xi = Functional.of(random_functional_coeffs(rng, m, **pins))
                 params = [random_rational(rng) for _ in range(arity)]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,35 @@ def test_builtin_subcommand(capsys):
     payload = json.loads(out)
     assert payload["algebra"]["dim"] == 6
     assert len(payload["algebra"]["brackets"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vergne", "heisenberg:1", "--xi=1,0,0", "--matrix", "1"],
+        ["stratum", "g54", "--xi", "0,1,0,0,0", "--matrix", "1"],
+        ["builtin", "g615", "--matrix", "1"],
+    ],
+)
+def test_matrix_for_a_named_algebra_exits_1_with_one_line(capsys, argv):
+    # Only axb reads --matrix; any other builtin name refuses it.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: only axb takes an action matrix, not {argv[1]!r}\n"
+
+
+def test_version_agrees_with_the_package_and_pyproject(capsys):
+    import lagsel
+
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (declared,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"lagsel {declared}\n"
+    assert lagsel.__version__ == declared
 
 
 def test_unknown_subcommand_is_invalid_input(capsys):

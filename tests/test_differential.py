@@ -20,7 +20,7 @@ def random_matrix(rng, rows, cols):
     """A rational matrix: zero, rank-deficient, integer or with fractions."""
     kind = rng.choice(("zero", "deficient", "integer", "rational", "rational"))
     if kind == "zero":
-        return Matrix.zero(rows, cols)
+        return Matrix([[0] * cols for _ in range(rows)])
     if kind == "integer":
         return Matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
     entries = [[random_rational(rng, 5, 6) for _ in range(cols)] for _ in range(rows)]
@@ -70,8 +70,8 @@ def annihilator_intersect(s1, s2):
     S's basis matrix.
     """
     m = s1.ambient_dim
-    ann1 = kernel(Matrix(s1.basis) if s1.basis else Matrix.zero(1, m))
-    ann2 = kernel(Matrix(s2.basis) if s2.basis else Matrix.zero(1, m))
+    ann1 = kernel(Matrix(s1.basis) if s1.basis else Matrix([[0] * m]))
+    ann2 = kernel(Matrix(s2.basis) if s2.basis else Matrix([[0] * m]))
     if not (ann1.basis or ann2.basis):
         return Subspace.full(m)
     return kernel(Matrix(ann1.basis + ann2.basis))

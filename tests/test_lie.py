@@ -24,7 +24,7 @@ from lagsel.lie import (
     verify_jordan_holder,
 )
 from lagsel.linalg import MAX_DIM, Matrix, Subspace
-from lagsel.presymplectic import Flag
+from lagsel.presymplectic import Flag, SkewForm
 from lagsel.sampling import random_flag, random_functional_coeffs, random_rational
 
 
@@ -76,6 +76,17 @@ def test_heisenberg_cap_is_checked_before_building(monkeypatch):
         builtin("heisenberg:1000")
 
 
+def test_only_axb_takes_a_matrix_and_a_refused_one_caches_nothing():
+    builtin("g54")
+    cached = builtin.cache_info().currsize
+    for kind in ("g54", "g615", "heisenberg", "heisenberg:2"):
+        with pytest.raises(ValueError, match="only axb takes an action matrix"):
+            builtin(kind, Matrix([[1]]))
+    assert builtin.cache_info().currsize == cached
+    with pytest.raises(ValueError, match="axb requires the action matrix"):
+        builtin("axb")
+
+
 def test_jordan_holder_abelian_any_flag():
     algebra = LieAlgebra(3, {})
     rng = Random(1)
@@ -93,7 +104,7 @@ def test_jordan_holder_fails_center_last():
 
 
 def test_coadjoint_form_of_zero_functional():
-    assert coadjoint_form(builtin("g54").algebra, Functional.of([0] * 5)).is_zero()
+    assert coadjoint_form(builtin("g54").algebra, Functional.of([0] * 5)) == SkewForm.zero(5)
 
 
 def test_coadjoint_form_g54_dual_of_x1():

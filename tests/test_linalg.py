@@ -48,7 +48,7 @@ def test_rref_exact_fractions():
 
 
 def test_kernel_zero_matrix_is_full_space():
-    assert kernel(Matrix.zero(3, 3)) == Subspace.full(3)
+    assert kernel(Matrix([[0] * 3] * 3)) == Subspace.full(3)
 
 
 def test_kernel_identity_is_zero():

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -41,8 +42,6 @@ def test_skew_form_rejects_non_skew_matrix():
         SkewForm(Matrix([[1, 0], [0, 0]]))
     with pytest.raises(ValueError):
         SkewForm(Matrix([[0, 1, 2]]))
-    with pytest.raises(ValueError):
-        SkewForm.zero(2) + SkewForm.zero(3)
 
 
 def _stores_integers(form):
@@ -76,18 +75,79 @@ def test_skew_form_equality_and_hash_agree_across_constructors():
         pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
         upper = {pair: random_rational(rng) for pair in pairs if rng.random() < 0.6}
         whole = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in upper.items()])
-        cut = rng.randint(0, len(upper))
-        items = list(upper.items())
-        first = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in items[:cut]])
-        rest = SkewForm.from_upper_entries(m, [(i, j, v) for (i, j), v in items[cut:]])
-        halves = SkewForm.from_upper_entries(m, [(i, j, v / 2) for (i, j), v in upper.items()])
-        same = [whole, SkewForm(Matrix(whole.matrix.entries)), first + rest, halves + halves]
+        # The same form from a common multiple of its integer pair.
+        k = rng.randint(2, 9)
+        multiple = SkewForm._from_integers([[k * x for x in row] for row in whole.integer_matrix], k * whole.scale)
+        same = [whole, SkewForm(Matrix(whole.matrix.entries)), multiple]
         for form in same:
             assert _stores_integers(form)
             assert form == whole and hash(form) == hash(whole)
         assert (whole == SkewForm.zero(m)) == (not upper)
         if upper:
-            assert whole + whole != whole
+            assert SkewForm.from_upper_entries(m, [(i, j, 2 * v) for (i, j), v in upper.items()]) != whole
+
+
+def _is_canonical_skew(form):
+    rows, n = form.integer_matrix, form.dim
+    return (
+        _stores_integers(form)
+        and all(len(row) == n for row in rows)
+        and all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
+        and form.scale > 0
+        and gcd(form.scale, *(x for row in rows for x in row)) == 1
+    )
+
+
+def test_every_form_the_library_builds_is_square_skew_and_canonical(rational_flag, monkeypatch):
+    # _from_integers trusts its caller, so each caller must hand it a square,
+    # exactly skew integer matrix, and the pair it keeps must have gcd 1.
+    from lagsel.lie import Functional, builtin, coadjoint_form
+    from lagsel.probe import functional_path_probe
+    from lagsel.sampling import random_functional_coeffs
+
+    built = []
+    original = SkewForm._from_integers.__func__
+
+    def recorded(cls, rows, scale):
+        form = original(cls, rows, scale)
+        built.append(form)
+        return form
+
+    monkeypatch.setattr(SkewForm, "_from_integers", classmethod(recorded))
+    counts = dict.fromkeys(["from_upper_entries", "zero", "restrict", "coadjoint_form", "probe line"], 0)
+
+    def source(name, make):
+        before = len(built)
+        result = make()
+        counts[name] += len(built) - before
+        return result
+
+    rng = Random(53)
+    for _ in range(60):
+        m = rng.randint(0, 7)
+        source("zero", lambda: SkewForm.zero(m))
+        zero_chance = rng.choice([0.0, 0.35, 1.0])
+        form = source("from_upper_entries", lambda: random_skew_form(rng, m, zero_chance))
+        if m:
+            flag = rational_flag(rng, m)
+            source("restrict", lambda: [restrict(form, flag, j) for j in range(1, m + 1)])
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        kind = rng.choice(["g54", "g615", f"heisenberg:{n}", "axb"])
+        action = Matrix([[random_rational(rng, 3, 3) if i <= j else 0 for j in range(n)] for i in range(n)])
+        algebra = builtin(kind, action if kind == "axb" else None)
+        base = random_functional_coeffs(rng, algebra.dim)
+        source("coadjoint_form", lambda: coadjoint_form(algebra.algebra, Functional.of(base)))
+        # Two endpoint forms, then one form per sample on the line through them.
+        direction = random_functional_coeffs(rng, algebra.dim)
+        samples = [random_rational(rng) for _ in range(3)]
+        source(
+            "probe line",
+            lambda: functional_path_probe(algebra.algebra, algebra.flag, base, direction, samples, Fraction(0)),
+        )
+    assert min(counts.values()) >= 30, counts
+    assert all(_is_canonical_skew(form) for form in built)
+    assert len({form.scale for form in built}) > 5
 
 
 def test_flag_round_trips_its_basis_matrix(rational_flag):
@@ -106,9 +166,9 @@ def test_flag_round_trips_its_basis_matrix(rational_flag):
         scaled = Matrix([[x * c if t == a else x for t, x in enumerate(row)] for row in p.entries])
         assert Flag(scaled) != flag
         assert all(Flag(scaled).subspace(j) == flag.subspace(j) for j in range(m + 1))
-    assert Flag(Matrix.identity(3)) == Flag.standard(3) and Flag(Matrix.identity(3)).is_standard()
+    assert Flag(Matrix.identity(3)) == Flag.standard(3) and Flag(Matrix.identity(3))._standard
     half = Flag(Matrix([["1/2", 0], [0, 1]]))
-    assert half != Flag.standard(2) and not half.is_standard()
+    assert half != Flag.standard(2) and not half._standard
     assert Flag(Matrix([])).basis_matrix == Matrix([])
 
 
@@ -117,7 +177,7 @@ def test_standard_flag_is_the_identity_flag_built_without_a_matrix(monkeypatch):
     for m in dims:
         flag, identity = Flag.standard(m), Flag(Matrix.identity(m))
         assert flag == identity and hash(flag) == hash(identity)
-        assert flag.is_standard() and identity.is_standard()
+        assert flag._standard and identity._standard
         assert flag.subspace(m) == Subspace.full(m)
     built = []
     original = Matrix.__init__
@@ -182,7 +242,7 @@ def test_restrict_full_step_is_identity():
 
 def test_restrict_to_line_vanishes():
     form = symplectic_4d()
-    assert restrict(form, Flag.standard(4), 1).matrix == Matrix.zero(1, 1)
+    assert restrict(form, Flag.standard(4), 1).matrix == Matrix([[0]])
 
 
 def test_restrict_g54_to_step_four():
