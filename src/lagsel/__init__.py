@@ -26,6 +26,7 @@ from .schubert import (
     filtration,
     jump_indices,
     selection_cell,
+    signature_to_cell,
     verify_filtration_lemmas,
 )
 from .lie import (
@@ -78,6 +79,7 @@ __all__ = [
     "filtration",
     "jump_indices",
     "selection_cell",
+    "signature_to_cell",
     "verify_filtration_lemmas",
     "BuiltinAlgebra",
     "Functional",

@@ -25,7 +25,7 @@ from .lie import Functional, builtin, isotropy_subalgebra, stratum, vergne_polar
 from .linalg import Matrix, as_rational
 from .presymplectic import Flag, signature_vector, vergne_select
 from .probe import functional_path_probe
-from .schubert import JumpSet, cell_to_signature, filtration, jump_indices
+from .schubert import JumpSet, cell_to_signature, filtration, jump_indices, signature_to_cell
 from .suites import PROBE_PRESETS, preset_samples, run_suite, suite_names
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 1, 2
@@ -68,12 +68,13 @@ def _parse_matrix(text: str) -> Matrix:
 
 def _load_algebra_arg(args):
     """Resolve the algebra argument: builtin name or JSON file path."""
-    name = args.algebra
+    name, matrix = args.algebra, args.matrix
     if name.endswith(".json") or os.path.exists(name):
+        if matrix:
+            raise ValueError(f"only axb takes an action matrix, not the algebra file {name!r}")
         algebra = serialize.lie_algebra_from_json(_load_json(name))
         return algebra, None
-    matrix = _parse_matrix(args.matrix) if getattr(args, "matrix", None) else None
-    built = builtin(name, matrix)
+    built = builtin(name, _parse_matrix(matrix) if matrix else None)
     return built.algebra, built
 
 
@@ -96,8 +97,8 @@ def cmd_polarize(args) -> Outcome:
     form = serialize.skew_form_from_json(_load_json(args.form))
     flag = _load_flag(args, form.dim)
     selection = vergne_select(form, flag)
-    cell = jump_indices(selection, flag)
     sig = signature_vector(form, flag)
+    cell = signature_to_cell(sig)
     payload = {
         "selection": serialize.subspace_to_json(selection),
         "cell": serialize.jump_set_to_json(cell),
@@ -118,7 +119,7 @@ def cmd_vergne(args) -> Outcome:
     pol = vergne_polarization(algebra, flag, xi)
     iso = isotropy_subalgebra(algebra, xi)
     sig = stratum(algebra, flag, xi)
-    cell = jump_indices(pol, flag)
+    cell = signature_to_cell(sig)
     payload = {
         "polarization": serialize.subspace_to_json(pol),
         "isotropy": serialize.subspace_to_json(iso),

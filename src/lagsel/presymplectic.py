@@ -77,8 +77,10 @@ class SkewForm:
 
     def _set(self, rows: Sequence[Sequence[int]], scale: int) -> None:
         g = gcd(scale, *(x for row in rows for x in row)) if scale != 1 else 1
-        object.__setattr__(self, "integer_matrix", tuple(tuple(x // g for x in row) for row in rows))
-        object.__setattr__(self, "scale", scale // g)
+        if g != 1:
+            rows, scale = [[x // g for x in row] for row in rows], scale // g
+        object.__setattr__(self, "integer_matrix", tuple(map(tuple, rows)))
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def _from_integers(cls, rows: Sequence[Sequence[int]], scale: int) -> SkewForm:

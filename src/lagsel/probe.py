@@ -6,17 +6,21 @@ to floats, orthonormalized, and summed into the orthogonal projector; rows
 that rounding leaves numerically dependent get the exact projector, rounded
 once.  The distance between two subspaces is the spectral norm of the
 difference of their projectors (the sine of the largest principal angle),
-and eigenvalues come from a self-contained cyclic Jacobi solver, so the
-module has no numerical dependencies.
+and eigenvalues come from a self-contained cyclic Jacobi solver, run on the
+rows and columns where the difference is not zero, so the module has no
+numerical dependencies.
 
 Path probes sample the Lagrangian selection along exact rational paths of
 forms or functionals and report the gap to the selection at a distinguished
 parameter, together with stratum and cell labels per sample.  A line of
 functionals costs two coadjoint forms, and each distinct selection one
-projector, gap and cell.  The verdicts are labeled evidence, never theorems:
-a run can witness a discontinuity (gaps bounded away from zero) or be
-consistent with continuity (gaps shrinking to zero), but cannot prove the
-latter.
+projector, gap and cell.  The cell is read off the signature vector, with no
+elimination, and a projector starts from the star's Gram-Schmidt vectors for
+the canonical rows it shares with the star's selection; every float is the
+one ``projector`` and ``gap`` give.  The verdicts are labeled evidence,
+never theorems: a run can witness a discontinuity (gaps bounded away from
+zero) or be consistent with continuity (gaps shrinking to zero), but cannot
+prove the latter.
 
 ``projector_sum_range_check`` is the one exact check living here: the range
 of a sum of the orthogonal projectors of several subspaces must equal the
@@ -30,12 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .lie import Functional, coadjoint_form, verify_jordan_holder
 from .linalg import Subspace, _rref_int_rows, as_rational
 from .presymplectic import Flag, SignatureVector, SkewForm, signature_vector, vergne_select
-from .schubert import JumpSet, jump_indices
+from .schubert import JumpSet, signature_to_cell
 
 _ORTHO_TOL = 1e-12
 _GAP_CONVERGED = 1e-4
@@ -65,46 +69,80 @@ def projector(sub: Subspace) -> list[list[float]]:
     projector ``_scaled_projector(sub) / L`` is returned, each entry rounded
     once.  Its trace is L times dim W, which gives L.
     """
+    return _projector(sub)[0]
+
+
+class _FloatRun(NamedTuple):
+    """The float Gram-Schmidt behind ``projector``, kept step by step.
+
+    ``vectors`` holds the orthonormal q_1..q_k, one per canonical row in
+    ``rows``, and ``sums`` the partial sums S_0 = 0, S_i = S_(i-1) + q_i q_iᵀ,
+    so ``sums[-1]`` is the projector.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    vectors: list[list[float]]
+    sums: list[list[list[float]]]
+
+
+def _projector(sub: Subspace, star: _FloatRun | None = None) -> tuple[list[list[float]], _FloatRun | None]:
+    """``projector(sub)`` and its float run, which is None when the exact fallback ran.
+
+    ``star`` is the float run of another subspace of the same ambient space,
+    whose leading vectors and partial sum are reused as ``_float_run`` says.
+    """
     try:
-        basis = _float_orthonormal_basis(sub)
+        run = _float_run(sub, star)
     except ValueError:
         scaled = _scaled_projector(sub)
         scale = sum(row[i] for i, row in enumerate(scaled)) // sub.dim
-        return [[x / scale for x in row] for row in scaled]
-    m = sub.ambient_dim
-    proj = [[0.0] * m for _ in range(m)]
-    for q in basis:
-        proj = [[x + a * b for x, b in zip(row, q)] if a else row for row, a in zip(proj, q)]
-    return proj
+        return [[x / scale for x in row] for row in scaled], None
+    return run.sums[-1], run
 
 
-def _float_orthonormal_basis(sub: Subspace) -> list[list[float]]:
-    """The scaled RREF rows of ``projector``, orthonormalized in floats.
+def _float_run(sub: Subspace, star: _FloatRun | None = None) -> _FloatRun:
+    """The scaled RREF rows of ``projector``, orthonormalized and summed in floats.
+
+    Vector i reads only canonical rows 1..i, and S_i only q_1..q_i.  So when
+    the first r canonical rows equal those of ``star``, its first r vectors
+    and S_r are the floats this run would compute, and its pairs among them
+    passed the orthonormality check: only the remaining rows are
+    orthonormalized, and only pairs that involve one of them are checked.
 
     Raises ValueError when rounding made the rows numerically dependent or
     left them short of orthonormal.
     """
-    basis: list[list[float]] = []
-    for row, pivot in zip(sub.rows, sub.pivots):
+    m = sub.ambient_dim
+    r = 0
+    if star is None:
+        vectors: list[list[float]] = []
+        sums = [[[0.0] * m for _ in range(m)]]
+    else:
+        while r < min(sub.dim, len(star.rows)) and sub.rows[r] == star.rows[r]:
+            r += 1
+        vectors, sums = star.vectors[:r], star.sums[: r + 1]
+    for row, pivot in zip(sub.rows[r:], sub.pivots[r:]):
         p = row[pivot]
         e = max(0, max(map(abs, row)).bit_length() - p.bit_length() - _ROW_EXPONENT)
         w = [x / (p << e) for x in row]
         # Modified Gram-Schmidt, run twice for orthogonality near machine level.
         for _ in range(2):
-            for q in basis:
+            for q in vectors:
                 c = _fdot(q, w)
                 w = [x - c * y for x, y in zip(w, q)]
         norm = sqrt(_fdot(w, w))
         if norm < _ORTHO_TOL:
             raise ValueError("input vectors are numerically dependent")
-        basis.append([x / norm for x in w])
+        vectors.append([x / norm for x in w])
     # _fdot is symmetric bit for bit, so the pairs a <= b cover the check.
-    for a, u in enumerate(basis):
-        for b in range(a, len(basis)):
+    for a, u in enumerate(vectors):
+        for b in range(max(a, r), len(vectors)):
             want = 1.0 if a == b else 0.0
-            if abs(_fdot(u, basis[b]) - want) > 100 * _ORTHO_TOL:
+            if abs(_fdot(u, vectors[b]) - want) > 100 * _ORTHO_TOL:
                 raise ValueError("columns are not orthonormal")
-    return basis
+    for q in vectors[r:]:
+        sums.append([[x + a * b for x, b in zip(row, q)] if a else row for row, a in zip(sums[-1], q)])
+    return _FloatRun(sub.rows, vectors, sums)
 
 
 def jacobi_eigenvalues(sym: Sequence[Sequence[float]]) -> list[float]:
@@ -165,9 +203,16 @@ def gap(w1: Subspace, w2: Subspace) -> float:
 
 
 def _projector_gap(p1: list[list[float]], p2: list[list[float]]) -> float:
-    """The spectral norm of ``p1 - p2``, for two projectors of one ambient space."""
+    """The spectral norm of ``p1 - p2``, for two projectors of one ambient space.
+
+    Jacobi runs on the support of the difference, which is symmetric.  A row
+    and column that are entirely zero stay zero, because every rotation that
+    touches them has |a_pq| below tolerance and is skipped, and they add only
+    the eigenvalue 0: the largest |λ| is the same float.
+    """
     diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
-    return spectral_norm(diff)
+    support = [i for i, row in enumerate(diff) if any(row)]
+    return spectral_norm([[diff[i][j] for j in support] for i in support])
 
 
 def _scaled_projector(sub: Subspace) -> list[list[int]]:
@@ -247,22 +292,27 @@ def path_probe(
     Selections, strata and cells are computed exactly at every sample; only
     the gap against the selection at ``t_star`` is floating point.  Each
     form's ``vergne_select`` and ``signature_vector`` share one Gram matrix
-    and one sweep, and each distinct selection one projector, gap and cell
-    (canonical rows compare exactly, so a reused gap is the same float).
+    and one sweep, and each distinct selection takes one projector, gap and
+    cell (canonical rows compare exactly, so a reused gap is the same float).
+    The cell is read off the signature vector.  A projector reuses the
+    star's Gram-Schmidt vectors and partial sum for the canonical rows it
+    shares with the star's selection, which gives the same floats.
     """
     star = form_at(t_star)
     p_star = vergne_select(star, flag)
-    proj_star = projector(p_star)
-    seen = {p_star: (0.0, jump_indices(p_star, flag))}  # a projector minus itself is exactly 0
+    star_sig = signature_vector(star, flag)
+    proj_star, run_star = _projector(p_star)
+    seen = {p_star: (0.0, signature_to_cell(star_sig))}  # a projector minus itself is exactly 0
     records = []
     for t in samples:
         b = form_at(t)
         p = vergne_select(b, flag)
+        sig = signature_vector(b, flag)
         if p not in seen:
-            seen[p] = (_projector_gap(projector(p), proj_star), jump_indices(p, flag))
-        records.append(PathSample(t, seen[p][0], signature_vector(b, flag), seen[p][1]))
+            seen[p] = (_projector_gap(_projector(p, run_star)[0], proj_star), signature_to_cell(sig))
+        records.append(PathSample(t, seen[p][0], sig, seen[p][1]))
     records_t = tuple(records)
-    return PathProbeReport(t_star, signature_vector(star, flag), seen[p_star][1], records_t, _verdict(records_t, t_star))
+    return PathProbeReport(t_star, star_sig, seen[p_star][1], records_t, _verdict(records_t, t_star))
 
 
 def functional_path_probe(

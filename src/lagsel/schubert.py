@@ -201,11 +201,20 @@ def cell_to_signature(e: JumpSet) -> SignatureVector:
     return SignatureVector(m, tuple(entries))
 
 
+def signature_to_cell(sig: SignatureVector) -> JumpSet:
+    """The Schubert cell of every selection whose form has signature vector sig.
+
+    The converse of ``cell_to_signature``.  The selection's jumps are the
+    down steps of the sweep, the steps where the radical shrinks, so the
+    cell is {j : k_j < k_(j-1)} with k_0 = 0.  No elimination runs.
+    """
+    k = sig.entries
+    return JumpSet(sig.m, tuple(j for j, (before, after) in enumerate(zip((0, *k), k), start=1) if after < before))
+
+
 def selection_cell(b: SkewForm, flag: Flag | None = None) -> JumpSet:
-    """The Schubert cell of the Lagrangian selection of B."""
-    if flag is None:
-        flag = Flag.standard(b.dim)
-    return jump_indices(vergne_select(b, flag), flag)
+    """The Schubert cell of the Lagrangian selection of B, read off its signature vector."""
+    return signature_to_cell(signature_vector(b, flag))
 
 
 @dataclass(frozen=True)

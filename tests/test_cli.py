@@ -287,6 +287,23 @@ def test_matrix_for_a_named_algebra_exits_1_with_one_line(capsys, argv):
     assert err == f"error: only axb takes an action matrix, not {argv[1]!r}\n"
 
 
+@pytest.mark.parametrize(
+    "command, matrix",
+    [("vergne", "1"), ("stratum", "1;2")],
+)
+def test_matrix_next_to_an_algebra_file_exits_1_with_one_line(tmp_path, capsys, command, matrix):
+    # The file's algebra is read as it is, so a matrix next to it is refused
+    # before it is parsed, even a ragged one.
+    from lagsel.lie import builtin
+
+    path = write_json(tmp_path, "h1.json", serialize.lie_algebra_to_json(builtin("heisenberg:1").algebra))
+    assert run(capsys, command, path, "--xi", "1,0,0")[0] == 0
+    code, out, err = run(capsys, command, path, "--xi", "1,0,0", "--matrix", matrix)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: only axb takes an action matrix, not the algebra file {path!r}\n"
+
+
 def test_version_agrees_with_the_package_and_pyproject(capsys):
     import lagsel
 

@@ -10,6 +10,8 @@ from lagsel.lie import Functional, builtin, coadjoint_form
 from lagsel.linalg import Matrix, Subspace, rref
 from lagsel.presymplectic import Flag, SkewForm, signature_vector, vergne_select
 from lagsel.probe import (
+    _projector,
+    _projector_gap,
     _scaled_projector,
     functional_path_probe,
     gap,
@@ -392,22 +394,22 @@ def test_path_probe_on_raw_forms():
 
 def test_path_probe_takes_one_sweep_per_form_and_matches_the_definitions(monkeypatch):
     # Every record equals the public per-sample definitions, gap floats
-    # included, from one sweep per form and one projector per selection.
+    # included, from one sweep per form and one projector build per selection.
     from lagsel import presymplectic, probe
 
     counts = {"sweep": 0, "projector": 0}
-    sweep, build_projector = presymplectic._sweep, probe.projector
+    sweep, build_projector = presymplectic._sweep, probe._projector
 
     def counted_sweep(gram):
         counts["sweep"] += 1
         return sweep(gram)
 
-    def counted_projector(sub):
+    def counted_projector(sub, star=None):
         counts["projector"] += 1
-        return build_projector(sub)
+        return build_projector(sub, star)
 
     monkeypatch.setattr(presymplectic, "_sweep", counted_sweep)
-    monkeypatch.setattr(probe, "projector", counted_projector)
+    monkeypatch.setattr(probe, "_projector", counted_projector)
     rng = Random(41)
     samples = [Fraction(1, 2**i) for i in range(1, 5)]
     for m in (2, 4, 6):
@@ -439,15 +441,15 @@ def line_point(base, direction, t):
 
 @pytest.mark.parametrize("name", ["g54-discontinuity", "g615-discontinuity"])
 def test_discontinuity_preset_builds_one_projector_per_distinct_selection(name, monkeypatch):
-    # 21 forms, 2 distinct selections: 2 projectors, and every record is
-    # still the per-sample definition, gap floats bit for bit.
+    # 21 forms, 2 distinct selections: 2 projector builds, and every record
+    # is still the per-sample definition, gap floats bit for bit.
     from lagsel import probe
 
     kind, base, direction = PROBE_PRESETS[name]
     built = builtin(kind)
     calls = []
-    build_projector = probe.projector
-    monkeypatch.setattr(probe, "projector", lambda sub: calls.append(sub) or build_projector(sub))
+    build_projector = probe._projector
+    monkeypatch.setattr(probe, "_projector", lambda sub, star=None: calls.append(sub) or build_projector(sub, star))
     report = functional_path_probe(built.algebra, built.flag, base, direction, preset_samples(20), Fraction(0))
     monkeypatch.undo()
     assert len(calls) == 2 and len(report.samples) == 20
@@ -543,3 +545,125 @@ def test_projector_and_gap_match_the_loop_reference_bit_for_bit():
         for sample in report.samples:
             p = vergne_select(coadjoint_form(built.algebra, Functional.of(line_point(base, direction, sample.t))), built.flag)
             assert sample.gap.hex() == _loop_gap(loop_float_projector(p), p_star).hex()
+
+
+def _sparse_rationals(rng, m, zero_chance):
+    return [Fraction(0) if rng.random() < zero_chance else random_rational(rng) for _ in range(m)]
+
+
+def _support(p1, p2):
+    return sum(any(a != b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+
+
+def test_gap_on_the_support_of_the_difference_matches_the_full_jacobi_bit_for_bit():
+    # W_i = A_i + C with A_i inside the coordinates S and C inside the rest:
+    # P_1 - P_2 vanishes outside S, so Jacobi runs on |S| rows or fewer, and
+    # the largest |λ| is the full matrix's float.
+    rng = Random(83)
+    supports = []
+    for n in range(600):
+        m = rng.randint(1, 8)
+        inside = sorted(rng.sample(range(m), rng.randint(1, m)))
+        outside = [c for c in range(m) if c not in inside]
+
+        def embed(sub, coords):
+            return [[row[coords.index(c)] if c in coords else 0 for c in range(m)] for row in sub.basis]
+
+        common = embed(random_subspace(rng, len(outside)), outside)
+        w1, w2 = (
+            Subspace.from_vectors(m, embed(random_subspace(rng, len(inside)), inside) + common) for _ in range(2)
+        )
+        p1, p2 = projector(w1), projector(w2)
+        supports.append(_support(p1, p2))
+        assert supports[-1] <= len(inside)
+        assert _projector_gap(p1, p2).hex() == _loop_gap(p1, p2).hex()
+        assert _projector_gap(p1, p1).hex() == _loop_gap(p1, p1).hex() == (0.0).hex()
+    assert {0, 1, 2, 3} <= set(supports)
+
+
+def _shared_prefix(w1, w2):
+    return next((r for r, (a, b) in enumerate(zip(w1.rows, w2.rows)) if a != b), min(w1.dim, w2.dim))
+
+
+def test_random_lines_match_the_per_sample_definitions():
+    # Each report against projector, gap and jump_indices per sample, on
+    # 300 seeded lines through g54, g615 and axb; every gap also against the
+    # loop reference.  Many new selections share leading canonical rows with
+    # the star's, so the Gram-Schmidt prefix is reused.
+    rng = Random(97)
+    cases = [builtin("g54"), builtin("g615")]
+    for k in (1, 2, 3):
+        cases.append(builtin("axb", Matrix([[random_rational(rng) if i <= j else 0 for j in range(k)] for i in range(k)])))
+    counts = {"samples": 0, "new": 0, "prefix": 0, "in-stratum": 0}
+    for n in range(300):
+        case = cases[n % len(cases)]
+        m, flag = case.algebra.dim, case.flag
+        base, direction = _sparse_rationals(rng, m, 0.6), _sparse_rationals(rng, m, 0.6)
+        samples = [Fraction(1, 2**i) for i in range(1, 5)] + [random_rational(rng) for _ in range(2)]
+        t_star = Fraction(0) if n % 3 else samples[-1]
+        report = functional_path_probe(case.algebra, flag, base, direction, samples, t_star)
+        star = coadjoint_form(case.algebra, Functional.of(line_point(base, direction, t_star)))
+        p_star = vergne_select(star, flag)
+        assert report.star_stratum == signature_vector(star, flag)
+        assert report.star_cell == jump_indices(p_star, flag)
+        new = set()
+        for sample, t in zip(report.samples, samples):
+            form = coadjoint_form(case.algebra, Functional.of(line_point(base, direction, t)))
+            p = vergne_select(form, flag)
+            assert sample.t == t
+            assert sample.gap.hex() == gap(p, p_star).hex()
+            assert sample.gap.hex() == _loop_gap(loop_float_projector(p), loop_float_projector(p_star)).hex()
+            assert sample.stratum == signature_vector(form, flag)
+            assert sample.cell == jump_indices(p, flag)
+            if p != p_star and p not in new:
+                new.add(p)
+                counts["prefix"] += _shared_prefix(p, p_star) > 0
+                counts["in-stratum"] += sample.stratum == report.star_stratum
+            counts["samples"] += 1
+        counts["new"] += len(new)
+    assert counts["samples"] == 1800
+    assert counts["new"] >= 200 and counts["prefix"] >= 200 and counts["in-stratum"] >= 150, counts
+
+
+def test_a_star_on_the_exact_fallback_lends_no_prefix_and_gives_the_same_gaps():
+    # The star's selection V_2 is spanned by rows that round to parallel
+    # floats, so its projector is the exact one, rounded once, and no
+    # Gram-Schmidt vector is reused.  The forms are J + t C in flag
+    # coordinates, with J pairing flag vectors 1 with 3 and 2 with 4.
+    big = 10**200
+    f1, f2 = [1, Fraction(big, 7), Fraction(1, big), 0], [0, 1, 0, big]
+    columns = [f1, f2, [0, 0, 1, 0], [0, 0, 0, 1]]
+    basis = [list(row) for row in zip(*columns)]
+    flag = Flag(Matrix(basis))
+    inverse = solve(basis, [[Fraction(int(i == j)) for j in range(4)] for i in range(4)])
+    inverse_t = [list(col) for col in zip(*inverse)]
+    star_selection = Subspace.from_vectors(4, [f1, f2])
+    with pytest.raises(ValueError, match="numerically dependent"):
+        oracle_float_projector(star_selection)
+    assert _projector(star_selection)[1] is None
+    rng = Random(89)
+    fallbacks = 0
+    for n in range(12):
+        c = [[Fraction(0)] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if rng.random() < 0.6:
+                    c[i][j] = random_rational(rng)
+                    c[j][i] = -c[i][j]
+
+        def form_at(t):
+            gram = [[c[i][j] * t for j in range(4)] for i in range(4)]
+            for i, j in ((0, 2), (1, 3)):
+                gram[i][j] += 1
+                gram[j][i] -= 1
+            return SkewForm(Matrix(matmul(inverse_t, matmul(gram, inverse))))
+
+        samples = [Fraction(1, 2**i) for i in range(1, 5)] + [Fraction(-1, 3), Fraction(0)]
+        report = path_probe(form_at, flag, samples, Fraction(0))
+        assert vergne_select(form_at(Fraction(0)), flag) == star_selection
+        for sample, t in zip(report.samples, samples):
+            p = vergne_select(form_at(t), flag)
+            assert sample.gap.hex() == gap(p, star_selection).hex()
+            assert sample.cell == jump_indices(p, flag)
+            fallbacks += _projector(p)[1] is None
+    assert fallbacks >= 12

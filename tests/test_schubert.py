@@ -7,7 +7,16 @@ import pytest
 
 from lagsel import linalg, schubert
 from lagsel.linalg import MAX_DIM, Subspace, contains, intersect
-from lagsel.presymplectic import Flag, SkewForm, b_perp, is_isotropic, null_space, signature_vector, vergne_select
+from lagsel.presymplectic import (
+    Flag,
+    SignatureVector,
+    SkewForm,
+    b_perp,
+    is_isotropic,
+    null_space,
+    signature_vector,
+    vergne_select,
+)
 from lagsel.sampling import random_flag, random_skew_form, random_subspace
 from lagsel.schubert import (
     FiltrationTrace,
@@ -16,6 +25,7 @@ from lagsel.schubert import (
     filtration,
     jump_indices,
     selection_cell,
+    signature_to_cell,
     verify_filtration_lemmas,
 )
 from oracles import new_directions
@@ -508,3 +518,56 @@ def test_dimension_ladder_catches_jump_indices_mutations(monkeypatch):
     # The counts of the intersection ladder this replaced, on these pairs.
     floors = {"flag not applied": 265, "first jump dropped": 276, "dim m - 1 taken as full": 86}
     assert all(caught[name] >= floor for name, floor in floors.items()), caught
+
+
+def test_signature_to_cell_matches_the_jump_set_of_the_selection(rational_flag):
+    # The down steps of the signature vector against one elimination in the
+    # quotient, on standard, scrambled and rational flags and four form
+    # densities.
+    assert signature_to_cell(SignatureVector(0, ())) == JumpSet(0, ())
+    codims = set()
+    for form, flag in filtration_cases(rational_flag, 600, 61):
+        cell = signature_to_cell(signature_vector(form, flag))
+        assert cell == jump_indices(vergne_select(form, flag), flag)
+        assert cell_to_signature(cell) == signature_vector(form, flag)
+        codims.add(len(cell))
+    assert codims == set(range(6))
+
+
+def test_selection_cell_runs_no_elimination(rational_flag, monkeypatch):
+    from lagsel import presymplectic
+
+    cases = list(filtration_cases(rational_flag, 240, 67))
+    calls = []
+    for module in (linalg, presymplectic, schubert):
+        original = module._rref_int_rows
+        monkeypatch.setattr(module, "_rref_int_rows", lambda rows, f=original: calls.append(1) or f(rows))
+    cells = [selection_cell(form, flag) for form, flag in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert cells == [jump_indices(vergne_select(form, flag), flag) for form, flag in cases]
+
+
+def test_lemma_report_catches_a_repeated_i_index(monkeypatch):
+    # A trace whose last i-index repeats the one before it still has every
+    # i below its j, so only the strict increase can fail it.
+    original = schubert.filtration
+
+    def repeated_index(b, flag=None):
+        trace = original(b, flag)
+        return FiltrationTrace(trace.chain, (*trace.i_seq[:-1], trace.i_seq[-2]), trace.j_seq)
+
+    rng = Random(71)
+    caught = 0
+    for _ in range(60):
+        m = rng.randint(4, 8)
+        form, flag = random_skew_form(rng, m, zero_chance=0.2), random_flag(rng, m)
+        if filtration(form, flag).d < 2:
+            continue
+        assert verify_filtration_lemmas(form, flag).ok
+        monkeypatch.setattr(schubert, "filtration", repeated_index)
+        failed = {c.name for c in verify_filtration_lemmas(form, flag).failures()}
+        monkeypatch.setattr(schubert, "filtration", original)
+        assert "i-sequence strictly increasing, below j-sequence" in failed
+        caught += 1
+    assert caught >= 30
