@@ -70,11 +70,11 @@ def _load_algebra_arg(args):
     """Resolve the algebra argument: builtin name or JSON file path."""
     name, matrix = args.algebra, args.matrix
     if name.endswith(".json") or os.path.exists(name):
-        if matrix:
+        if matrix is not None:
             raise ValueError(f"only axb takes an action matrix, not the algebra file {name!r}")
         algebra = serialize.lie_algebra_from_json(_load_json(name))
         return algebra, None
-    built = builtin(name, _parse_matrix(matrix) if matrix else None)
+    built = builtin(name, None if matrix is None else _parse_matrix(matrix))
     return built.algebra, built
 
 
@@ -229,7 +229,7 @@ def cmd_probe(args) -> Outcome:
 
 
 def cmd_builtin(args) -> Outcome:
-    matrix = _parse_matrix(args.matrix) if args.matrix else None
+    matrix = None if args.matrix is None else _parse_matrix(args.matrix)
     built = builtin(args.kind, matrix)
     payload = {
         "kind": built.kind,

@@ -16,9 +16,12 @@ appear only at the boundary: ``Matrix`` entries, ``rref``,
 ``LieAlgebra.bracket``, ``SkewForm.matrix``, ``Flag.basis_matrix`` and
 ``Flag.column``.
 
-Every elimination goes through one routine, ``_rref_int_rows``: fraction-free
-Gauss-Jordan elimination on integer rows.  Dimensions are capped at
-``MAX_DIM``, checked before anything of that size is allocated.
+Every elimination is one fraction-free elimination on integer rows, in two
+phases.  ``_echelon_int_rows`` is the forward phase; its pivots are the
+column rank profile, so a caller that reads only pivots stops there.
+``_rref_int_rows`` adds the back-substitution and is the only routine that
+produces reduced rows.  Dimensions are capped at ``MAX_DIM``, checked
+before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -42,30 +45,31 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} exceeds the limit of {MAX_DIM}")
 
 
-def _strip_common_factor(row: list[int], ncols: int) -> None:
-    # Divide the row by the gcd of its entries (gcd is never negative).
+def _strip_common_factor(row: list[int], start: int, ncols: int) -> None:
+    # Divide the row by the gcd of its entries (gcd is never negative); the
+    # caller knows the row is zero before ``start``.
     g = 0
-    for j in range(ncols):
+    for j in range(start, ncols):
         x = row[j]
         if x:
             g = gcd(g, x)
             if g == 1:
                 return
     if g > 1:
-        for j in range(ncols):
+        for j in range(start, ncols):
             row[j] //= g
 
 
-def _rref_int_rows(rows: list[list[int]]) -> list[int]:
-    """Reduce a list of integer rows in place; return the pivot columns.
+def _echelon_int_rows(rows: list[list[int]]) -> list[int]:
+    """Forward elimination of integer rows in place; return the pivot columns.
 
-    On return the rows form a normalized Gauss-Jordan shape: every pivot
-    column contains a single nonzero entry (its pivot), each nonzero row is
-    primitive with a positive pivot, rows are ordered by pivot column and
-    zero rows sink to the bottom.  Dividing each row by its pivot entry
-    yields the unique reduced row echelon form of the row space over the
-    rationals.  Keeping the arithmetic on plain integers (stripped by gcd
-    after every update) avoids per-operation rational normalization.
+    The pivot columns are the column rank profile of the rows: column c is a
+    pivot exactly when it is not in the span of the columns before it.  On
+    return the nonzero rows come first, ordered by pivot column; each is
+    zero before its pivot, primitive, with a positive pivot, and every row
+    below it is zero in its pivot column.  The rows above a pivot are not
+    touched, so this is the whole cost for a caller that reads only the
+    pivots.  ``_rref_int_rows`` finishes the reduction.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -84,15 +88,13 @@ def _rref_int_rows(rows: list[list[int]]) -> list[int]:
         rows[r], rows[src] = rows[src], rows[r]
         prow = rows[r]
         # Normalize the pivot row first so elimination multipliers stay
-        # positive and earlier pivot rows keep their positive pivots.
+        # positive.  Rows r and below are zero before column c.
         if prow[c] < 0:
-            for j in range(ncols):
+            for j in range(c, ncols):
                 prow[j] = -prow[j]
-        _strip_common_factor(prow, ncols)
+        _strip_common_factor(prow, c, ncols)
         p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
+        for i in range(r + 1, nrows):
             row = rows[i]
             q = row[c]
             if not q:
@@ -100,11 +102,48 @@ def _rref_int_rows(rows: list[list[int]]) -> list[int]:
             g = gcd(p, q)
             a = p // g
             b = q // g
-            for j in range(ncols):
+            for j in range(c, ncols):
                 row[j] = a * row[j] - b * prow[j]
-            _strip_common_factor(row, ncols)
+            _strip_common_factor(row, c + 1, ncols)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _rref_int_rows(rows: list[list[int]]) -> list[int]:
+    """Reduce a list of integer rows in place; return the pivot columns.
+
+    ``_echelon_int_rows`` runs the forward phase.  Then each pivot row, from
+    the last one up, clears its column in the rows above it; it is already
+    zero in every later pivot column, so no cleared entry fills in again.
+    On return the rows form a normalized Gauss-Jordan shape: every pivot
+    column contains a single nonzero entry (its pivot), each nonzero row is
+    primitive with a positive pivot, rows are ordered by pivot column and
+    zero rows sink to the bottom.  Dividing each row by its pivot entry
+    yields the unique reduced row echelon form of the row space over the
+    rationals, so the integer rows are unique too.  Keeping the arithmetic
+    on plain integers (stripped by gcd after every update) avoids
+    per-operation rational normalization.
+    """
+    pivots = _echelon_int_rows(rows)
+    ncols = len(rows[0]) if rows else 0
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        prow = rows[k]
+        p = prow[c]
+        for i in range(k):
+            row = rows[i]
+            q = row[c]
+            if not q:
+                continue
+            g = gcd(p, q)
+            a = p // g
+            b = q // g
+            # Both rows are zero before row i's pivot.
+            start = pivots[i]
+            for j in range(start, ncols):
+                row[j] = a * row[j] - b * prow[j]
+            _strip_common_factor(row, start, ncols)
     return pivots
 
 

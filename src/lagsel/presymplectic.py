@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Subspace, Vector, _rref_int_rows, as_rational, check_dim, denominator_lcm, integer_rows, kernel
+from .linalg import Matrix, Subspace, Vector, _echelon_int_rows, as_rational, check_dim, denominator_lcm, integer_rows, kernel
 
 
 @dataclass(frozen=True, init=False)
@@ -158,7 +158,7 @@ class Flag:
         scales = tuple(map(denominator_lcm, columns))
         cols = tuple(map(tuple, integer_rows(columns)))
         standard = scales == (1,) * m and cols == Subspace.full(m).rows
-        if not standard and len(_rref_int_rows([list(col) for col in cols])) != m:
+        if not standard and len(_echelon_int_rows([list(col) for col in cols])) != m:
             raise ValueError("flag basis matrix must be invertible")
         self._set(cols, scales, standard)
 
@@ -196,14 +196,25 @@ class Flag:
         return [[sum(map(mul, phi, col)) for col in self.integer_columns] for phi in phis]
 
     def _gram(self, matrix: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-        """The Gram matrix P^T M P of the flag basis P for an integer matrix M.
+        """The Gram matrix P^T M P of the flag basis P for a skew integer matrix M.
 
-        ``_read`` multiplies by P on the right, so this is ((M^T P)^T) P.  The
-        standard flag returns M's rows themselves, so they are not copied.
+        The result is skew too, so M P is formed once and only the entries
+        above the diagonal of P^T (M P) are computed; each is mirrored with
+        its sign flipped, and the diagonal is zero.  The standard flag
+        returns M's rows themselves, so they are not copied.
         """
         if self._standard:
             return list(matrix)
-        return self._read(zip(*self._read(zip(*matrix))))
+        cols = self.integer_columns
+        m = len(cols)
+        mp = [[sum(map(mul, row, col)) for row in matrix] for col in cols]  # the columns of M P
+        gram = [[0] * m for _ in range(m)]
+        for a, col in enumerate(cols):
+            row = gram[a]
+            for c in range(a + 1, m):
+                row[c] = x = sum(map(mul, col, mp[c]))
+                gram[c][a] = -x
+        return gram
 
     def _to_ambient(self, xs: Iterable[Sequence[int]]) -> list[list[int]]:
         """Integer vectors in flag coordinates into Q^m, x -> sum_a x_a p_a; x may stop at any V_j."""
@@ -323,7 +334,8 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     dimensions (|R_1|, ..., |R_m|).  A vector x is carried as the row
     (x, x^T G), so B(x, y) is the second half of x's row dotted with y, and
     every update is integral: rows are combined fraction-free and divided
-    by their content.
+    by their content, the new vector once per step after all its pair
+    updates.
     """
     m = len(gram)
 
@@ -341,7 +353,10 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
             wu, wv = form(w, u), form(w, v)
             if wu or wv:
                 # B(w', u) = B(w', v) = 0 for w' = omega w - B(w, v) u + B(w, u) v.
-                w = _primitive([omega * x - wv * y + wu * z for x, y, z in zip(w, u, v)])
+                # Each update is linear in w, so stripping the content once
+                # after the last gives the same primitive vector.
+                w = [omega * x - wv * y + wu * z for x, y, z in zip(w, u, v)]
+        w = _primitive(w)
         for k, r in enumerate(radical):
             rw = form(r, w)
             if rw:

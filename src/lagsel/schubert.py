@@ -33,7 +33,7 @@ from functools import cache
 from operator import mul
 from typing import Callable
 
-from .linalg import Subspace, _kernel_generators, _rref_int_rows, check_dim, contains, intersect, kernel
+from .linalg import Subspace, _echelon_int_rows, _kernel_generators, check_dim, contains, intersect, kernel
 from .presymplectic import (
     Flag,
     SignatureVector,
@@ -84,8 +84,10 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
     W, so v -> (phi_f(v))_f has kernel exactly W and is injective on Q^m/W.
     Hence p_j lies in W + V_{j-1} exactly when column j of A = (phi_f(p_j))
     lies in the span of the columns before it: the jumps are the pivot
-    columns of A, an (m - dim W) x m elimination; ``Flag._read`` builds A.
-    W = 0 jumps everywhere and W = Q^m nowhere, with no elimination.
+    columns of A, its column rank profile.  ``Flag._read`` builds A, and
+    forward elimination alone (``_echelon_int_rows``, no back-substitution)
+    finds the pivots of the (m - dim W) x m matrix.  W = 0 jumps everywhere
+    and W = Q^m nowhere, with no elimination.
     """
     m = flag.dim
     if w.ambient_dim != m:
@@ -96,7 +98,7 @@ def jump_indices(w: Subspace, flag: Flag) -> JumpSet:
         return JumpSet(m, ())
     # Scaling a column keeps the pivots, so the integer columns serve.
     phis = flag._read(_kernel_generators(w.rows, w.pivots, m))
-    return JumpSet(m, tuple(c + 1 for c in _rref_int_rows(phis)))
+    return JumpSet(m, tuple(c + 1 for c in _echelon_int_rows(phis)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     form, so a wrong kept record fails a check here.  The checks themselves
     run in the ambient space and share no code with the sweeps: step k
     reads only the flag steps V_{i_k} and V_{j_k}, and the dimension ladder
-    is the column rank profile of one elimination.
+    is the column rank profile of one forward elimination.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
@@ -358,7 +360,7 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     # dim(W ∩ V_j) = j - #{jumps of W up to j}.  Column c >= dim W of [W's rows
     # | flag columns] is a pivot exactly when p_{c - dim W + 1} ∉ W + V_{c - dim W}.
     columns = [list(row) for row in zip(*selection.rows, *flag.integer_columns)]
-    ladder = tuple(c - selection.dim + 1 for c in _rref_int_rows(columns) if c >= selection.dim)
+    ladder = tuple(c - selection.dim + 1 for c in _echelon_int_rows(columns) if c >= selection.dim)
 
     def ladder_witness() -> str:
         dims = [(j, j - bisect_right(ladder, j), j - bisect_right(jump_p.indices, j)) for j in range(1, m + 1)]

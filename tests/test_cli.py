@@ -277,10 +277,12 @@ def test_builtin_subcommand(capsys):
         ["vergne", "heisenberg:1", "--xi=1,0,0", "--matrix", "1"],
         ["stratum", "g54", "--xi", "0,1,0,0,0", "--matrix", "1"],
         ["builtin", "g615", "--matrix", "1"],
+        ["stratum", "g54", "--xi", "0,1,0,0,0", "--matrix", ""],
+        ["builtin", "g54", "--matrix", ""],
     ],
 )
 def test_matrix_for_a_named_algebra_exits_1_with_one_line(capsys, argv):
-    # Only axb reads --matrix; any other builtin name refuses it.
+    # Only axb reads --matrix; any other builtin name refuses it, even empty.
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -289,7 +291,7 @@ def test_matrix_for_a_named_algebra_exits_1_with_one_line(capsys, argv):
 
 @pytest.mark.parametrize(
     "command, matrix",
-    [("vergne", "1"), ("stratum", "1;2")],
+    [("vergne", "1"), ("stratum", "1;2"), ("stratum", "")],
 )
 def test_matrix_next_to_an_algebra_file_exits_1_with_one_line(tmp_path, capsys, command, matrix):
     # The file's algebra is read as it is, so a matrix next to it is refused
@@ -302,6 +304,15 @@ def test_matrix_next_to_an_algebra_file_exits_1_with_one_line(tmp_path, capsys, 
     assert code == 1
     assert out == ""
     assert err == f"error: only axb takes an action matrix, not the algebra file {path!r}\n"
+
+
+@pytest.mark.parametrize("command", [["builtin", "axb"], ["vergne", "axb", "--xi", "1"]])
+def test_empty_axb_matrix_exits_1_with_one_line(capsys, command):
+    # An empty --matrix is a 1 x 0 matrix, not a missing one.
+    code, out, err = run(capsys, *command, "--matrix", "")
+    assert code == 1
+    assert out == ""
+    assert err == "error: axb parameter must be a square matrix of size >= 1\n"
 
 
 def test_version_agrees_with_the_package_and_pyproject(capsys):

@@ -1,13 +1,18 @@
 """Exact linear algebra kernel: examples, canonicity, and counting laws."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
+from lagsel import presymplectic
 from lagsel.linalg import (
     Matrix,
     Subspace,
+    _echelon_int_rows,
+    _kernel_generators,
+    _rref_int_rows,
     as_rational,
     contains,
     intersect,
@@ -15,7 +20,8 @@ from lagsel.linalg import (
     rref,
     subspace_sum,
 )
-from lagsel.sampling import random_subspace, random_vector
+from lagsel.sampling import random_flag, random_skew_form, random_subspace, random_vector
+from oracles import fraction_rref
 
 
 def frac_rows(rows):
@@ -197,3 +203,83 @@ def test_subspace_is_immutable():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+
+
+def integer_row_cases(seed, count):
+    """Seeded integer matrices for the two phases of the elimination.
+
+    The 0 x 0 matrix, then wide, tall and square shapes with zero rows and
+    columns, repeated rows and negative leading entries, then the rows an
+    m = 18 selection on a scrambled flag is built from, reduced against and
+    laddered with: up-step vectors in the ambient space, the annihilator in
+    flag coordinates, and the selection's rows beside the flag's columns.
+    """
+    rng = Random(seed)
+    yield []
+    for n in range(count):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        if n % 3 == 0:
+            nrows, ncols = min(nrows, ncols), max(nrows, ncols)
+        elif n % 3 == 1:
+            nrows, ncols = max(nrows, ncols), min(nrows, ncols)
+        bound = rng.choice((1, 3, 2**40))
+        zeros = rng.random() * 0.7
+        rows = [[0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:
+            c = rng.randrange(ncols)
+            for row in rows:
+                row[c] = 0
+        if rng.random() < 0.4:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if nrows > 1 and rng.random() < 0.5:
+            rows[rng.randrange(nrows)] = [rng.choice((1, -1, 2, -3)) * x for x in rng.choice(rows)]
+        for row in rows:
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is not None and row[lead] > 0 and rng.random() < 0.5:
+                row[:] = [-x for x in row]
+        yield rows
+    for _ in range(3):
+        form, flag = random_skew_form(rng, 18), random_flag(rng, 18)
+        selection = presymplectic.vergne_select(form, flag)
+        ups = presymplectic._sweep(presymplectic._integer_gram(form, flag))[0]
+        yield flag._to_ambient(ups)
+        yield flag._read(_kernel_generators(selection.rows, selection.pivots, 18))
+        yield [list(row) for row in zip(*selection.rows, *flag.integer_columns)]
+
+
+def bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+def test_forward_elimination_leaves_a_primitive_echelon_form_with_the_rref_pivots():
+    big = 0
+    for rows in integer_row_cases(41, 600):
+        ncols = len(rows[0]) if rows else 0
+        big += bits(rows) > 600
+        echelon = [list(row) for row in rows]
+        pivots = _echelon_int_rows(echelon)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for r, row in enumerate(echelon):
+            if r >= len(pivots):
+                assert not any(row)
+                continue
+            c = pivots[r]
+            assert not any(row[:c]) and row[c] > 0 and gcd(*row) == 1
+            assert not any(below[c] for below in echelon[r + 1 :])
+        reduced = [list(row) for row in rows]
+        assert _rref_int_rows(reduced) == pivots
+        # Each reduced row divided by its pivot is the textbook RREF row.
+        expected, expected_pivots = fraction_rref(rows)
+        assert expected_pivots == pivots
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)] == expected
+        assert not any(x for row in reduced[len(pivots) :] for x in row)
+        assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(reduced, pivots))
+    assert big >= 6
+
+
+def test_forward_elimination_pivots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for rows in integer_row_cases(43, 200):
+        if not rows:
+            continue
+        assert _echelon_int_rows([list(row) for row in rows]) == list(sympy.Matrix(rows).rref()[1])

@@ -13,6 +13,8 @@ from lagsel.presymplectic import (
     Flag,
     SignatureVector,
     SkewForm,
+    _integer_gram,
+    _sweep,
     b_perp,
     is_isotropic,
     is_lagrangian,
@@ -472,6 +474,70 @@ def test_one_form_answers_each_flag_as_a_fresh_form_does(rational_flag):
             standard = vergne_select(form)
             differing += sum(vergne_select(form, flag) != standard for flag in flags[:2])
     assert differing >= 40
+
+
+def per_pair_strip_sweep(gram):
+    """``_sweep`` in index loops, stripping w's content after every pair update."""
+    m = len(gram)
+
+    def form(x, y):
+        return sum(x[m + t] * y[t] for t in range(m))
+
+    def primitive(row):
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    pairs, radical, ups, dims = [], [], [], []
+    for j in range(m):
+        w = [int(t == j) for t in range(m)] + list(gram[j])
+        for u, v, omega in pairs:
+            wu, wv = form(w, u), form(w, v)
+            if wu or wv:
+                w = primitive([omega * w[t] - wv * u[t] + wu * v[t] for t in range(2 * m)])
+        k = next((k for k, r in enumerate(radical) if form(r, w)), None)
+        if k is None:
+            radical.append(w)
+            ups.append(w[:m])
+            dims.append(len(radical))
+            continue
+        r = radical.pop(k)
+        rw = form(r, w)
+        for i, s in enumerate(radical):
+            sw = form(s, w)
+            if sw:
+                radical[i] = primitive([rw * s[t] - sw * r[t] for t in range(2 * m)])
+        pairs.append((r, w, rw))
+        dims.append(len(radical))
+    return ups, dims
+
+
+def test_one_content_strip_per_step_gives_the_per_pair_strip_sweep(rational_flag):
+    rng = Random(83)
+    pairs_seen = 0
+    for n in range(600):
+        m = 1 + n % 18
+        form = random_skew_form(rng, m, zero_chance=rng.choice((0.0, 0.35, 0.7)))
+        flag = (Flag.standard, random_flag, rational_flag)[n % 3]
+        flag = flag(m) if n % 3 == 0 else flag(rng, m)
+        gram = _integer_gram(form, flag)
+        ups, dims = _sweep(gram)
+        assert (ups, dims) == per_pair_strip_sweep(gram)
+        pairs_seen += (m - dims[-1]) // 2 >= 2
+    assert pairs_seen >= 300
+
+
+def test_skew_gram_matches_the_two_sided_product():
+    # P^T M P in plain integer loops, every entry computed.
+    rng = Random(89)
+    for n in range(180):
+        m = 1 + n % 18
+        form, flag = random_skew_form(rng, m), random_flag(rng, m)
+        mat, cols = form.integer_matrix, flag.integer_columns
+        expected = [
+            [sum(cols[a][s] * mat[s][t] * cols[c][t] for s in range(m) for t in range(m)) for c in range(m)]
+            for a in range(m)
+        ]
+        assert [list(row) for row in flag._gram(mat)] == expected
 
 
 def test_signature_alone_builds_no_selection_span(monkeypatch):

@@ -219,16 +219,16 @@ def test_jump_indices_match_oracle_up_to_m18(rational_flag):
 
 
 def test_jump_indices_is_one_elimination_in_the_quotient(monkeypatch):
-    # One call reduces the m - dim W annihilator rows once, and W = 0 or
-    # W = Q^m needs no elimination at all.
+    # One call runs forward elimination on the m - dim W annihilator rows
+    # once, and W = 0 or W = Q^m needs no elimination at all.
     heights = []
-    reduce_rows = schubert._rref_int_rows
+    reduce_rows = schubert._echelon_int_rows
 
     def counted(rows):
         heights.append(len(rows))
         return reduce_rows(rows)
 
-    monkeypatch.setattr(schubert, "_rref_int_rows", counted)
+    monkeypatch.setattr(schubert, "_echelon_int_rows", counted)
     rng = Random(37)
     for m in (0, 1, 5, 10, 18):
         for flag in (Flag.standard(m), random_flag(rng, m)):
@@ -539,9 +539,12 @@ def test_selection_cell_runs_no_elimination(rational_flag, monkeypatch):
 
     cases = list(filtration_cases(rational_flag, 240, 67))
     calls = []
+    # Both elimination names, wherever a module binds them; linalg defines both.
     for module in (linalg, presymplectic, schubert):
-        original = module._rref_int_rows
-        monkeypatch.setattr(module, "_rref_int_rows", lambda rows, f=original: calls.append(1) or f(rows))
+        for name in ("_rref_int_rows", "_echelon_int_rows"):
+            if module is linalg or hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda rows, f=original: calls.append(1) or f(rows))
     cells = [selection_cell(form, flag) for form, flag in cases]
     assert calls == []
     monkeypatch.undo()
