@@ -48,7 +48,7 @@ def _load_json(path: str):
 
 
 def _load_flag(args, dim: int) -> Flag:
-    if getattr(args, "flag", None):
+    if args.flag:
         flag = serialize.flag_from_json(_load_json(args.flag))
         if flag.dim != dim:
             raise ValueError(f"flag has dimension {flag.dim}, expected {dim}")
@@ -264,8 +264,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FORM = ("form", {"help": "skew form JSON file"})
-_FLAG = ("--flag", {"help": "flag JSON file"})
-_FLAG_DEFAULT = ("--flag", {"help": "flag JSON file (default: standard basis)"})
+_FLAG = ("--flag", {"help": "flag JSON file (default: standard basis)"})
 _XI = ("--xi", {"required": True, "help": "comma-separated rational coefficients"})
 _AXB_MATRIX = ("--matrix", {"help": "axb action matrix, rows joined by ';'"})
 
@@ -273,16 +272,15 @@ _AXB_MATRIX = ("--matrix", {"help": "axb action matrix, rows joined by ';'"})
 # argument is the name and the options build_parser passes to add_argument
 # after --json.
 _COMMANDS = {
-    "polarize": (cmd_polarize, "Lagrangian selection of a skew form", [_FORM, _FLAG_DEFAULT]),
+    "polarize": (cmd_polarize, "Lagrangian selection of a skew form", [_FORM, _FLAG]),
     "vergne": (cmd_vergne, "Vergne polarization of a functional on a Lie algebra", [
         ("algebra", {"help": "builtin name (g54, g615, heisenberg:n, axb) or algebra JSON file"}),
-        _XI, _FLAG_DEFAULT, _AXB_MATRIX]),
+        _XI, _FLAG, _AXB_MATRIX]),
     "filtration": (cmd_filtration, "isotropic filtration trace of a skew form", [_FORM, _FLAG]),
     "jump": (cmd_jump, "jump indices of a subspace relative to a flag", [
         ("subspace", {"help": "subspace JSON file"}), _FLAG]),
     "stratum": (cmd_stratum, "stratum signature of a functional", [
-        ("algebra", {"help": "builtin name or algebra JSON file"}), _XI, _FLAG,
-        ("--matrix", {"help": "axb action matrix"})]),
+        ("algebra", {"help": "builtin name or algebra JSON file"}), _XI, _FLAG, _AXB_MATRIX]),
     "cell": (cmd_cell, "translate a Schubert cell into its stratum signature", [
         ("--m", {"type": int, "required": True, "help": "ambient dimension"}),
         ("--jumps", {"default": "", "help": "comma-separated jump indices (empty for the open cell)"})]),

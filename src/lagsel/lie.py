@@ -25,7 +25,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import Matrix, Subspace, Vector, as_rational, as_vector, check_dim, denominator_lcm, dot, integer_rows
-from .presymplectic import Flag, SignatureVector, SkewForm, is_isotropic, null_space, signature_vector, vergne_select
+from .presymplectic import Flag, SignatureVector, SkewForm, null_space, signature_vector, vergne_select
 
 
 class JacobiError(ValueError):
@@ -223,30 +223,20 @@ def coadjoint_form(algebra: LieAlgebra, xi: Functional) -> SkewForm:
 
 
 def isotropy_subalgebra(algebra: LieAlgebra, xi: Functional) -> Subspace:
-    """The radical of the coadjoint form; always a subalgebra (rechecked)."""
-    sub = null_space(coadjoint_form(algebra, xi))
-    if not algebra.is_subalgebra(sub):
-        raise RuntimeError("isotropy space is not a subalgebra: internal bug")
-    return sub
+    """The radical of the coadjoint form, the isotropy subalgebra of xi."""
+    return null_space(coadjoint_form(algebra, xi))
 
 
 def vergne_polarization(algebra: LieAlgebra, flag: Flag, xi: Functional) -> Subspace:
     """The Vergne polarization of xi along a Jordan-Hölder flag.
 
-    Equals the flag selection applied to the coadjoint form.  The result is
-    rechecked to be a subalgebra with <xi, [p, p]> = 0; violations raise,
-    since they can only come from a bug.
+    It is the flag selection applied to the coadjoint form, which along a
+    chain of ideals is a subalgebra subordinate to xi (Vergne, 1970); the
+    example-oracles suite re-checks both properties.
     """
     if not verify_jordan_holder(algebra, flag):
         raise ValueError("flag is not a Jordan-Hölder sequence for this algebra")
-    form = coadjoint_form(algebra, xi)
-    pol = vergne_select(form, flag)
-    if not algebra.is_subalgebra(pol):
-        raise RuntimeError("polarization is not a subalgebra: internal bug")
-    # B_xi is xi∘[·,·], so <xi, [p, p]> = 0 is the isotropy of p under B_xi.
-    if not is_isotropic(form, pol):
-        raise RuntimeError("polarization is not subordinate: internal bug")
-    return pol
+    return vergne_select(coadjoint_form(algebra, xi), flag)
 
 
 def stratum(algebra: LieAlgebra, flag: Flag, xi: Functional) -> SignatureVector:

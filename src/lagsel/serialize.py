@@ -8,6 +8,7 @@ ValueError, which the CLI maps to its invalid-input exit code.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -19,7 +20,17 @@ from .schubert import FiltrationTrace, JumpSet
 
 
 def rational_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        # Python's cap on int-to-decimal digits guards parsing, not output:
+        # an exact answer may be longer than any input, so lift it here only.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return rational_to_str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def rational_from_obj(obj: Any) -> Fraction:

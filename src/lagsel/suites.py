@@ -18,6 +18,7 @@ from .lie import (
     builtin,
     casimir_invariance_check,
     casimir_value,
+    coadjoint_form,
     isotropy_subalgebra,
     orbit_point,
     stratum,
@@ -106,24 +107,25 @@ def _check_sample(
     xi: Functional,
     label: str,
 ) -> None:
-    pol = vergne_polarization(built.algebra, built.flag, xi)
-    report.checks += 1
-    if pol != built.polarization_oracle(xi):
-        report.failures.append(
-            f"{built.kind} {label}: polarization mismatch at xi={[str(c) for c in xi.coeffs]}"
-        )
+    algebra = built.algebra
+    pol = vergne_polarization(algebra, built.flag, xi)
+    iso = isotropy_subalgebra(algebra, xi)
+    # Theorems the queries do not re-check (Vergne, 1970): the polarization is a
+    # subalgebra subordinate to xi (isotropic under B_xi), the radical a subalgebra.
+    checks = [
+        ("polarization matches the oracle", pol == built.polarization_oracle(xi)),
+        ("polarization is a subalgebra", algebra.is_subalgebra(pol)),
+        ("polarization is subordinate to xi", is_isotropic(coadjoint_form(algebra, xi), pol)),
+        ("isotropy is a subalgebra", algebra.is_subalgebra(iso)),
+    ]
     if built.isotropy_oracle is not None:
-        report.checks += 1
-        if isotropy_subalgebra(built.algebra, xi) != built.isotropy_oracle(xi):
-            report.failures.append(
-                f"{built.kind} {label}: isotropy mismatch at xi={[str(c) for c in xi.coeffs]}"
-            )
+        checks.append(("isotropy matches the oracle", iso == built.isotropy_oracle(xi)))
     if built.stratum_oracle is not None:
-        report.checks += 1
-        if stratum(built.algebra, built.flag, xi) != built.stratum_oracle(xi):
-            report.failures.append(
-                f"{built.kind} {label}: stratum mismatch at xi={[str(c) for c in xi.coeffs]}"
-            )
+        checks.append(("stratum matches the oracle", stratum(algebra, built.flag, xi) == built.stratum_oracle(xi)))
+    report.checks += len(checks)
+    for name, passed in checks:
+        if not passed:
+            report.failures.append(f"{built.kind} {label}: {name} fails at xi={[str(c) for c in xi.coeffs]}")
 
 
 # The four regions of g54's and g615's duals that the closed-form oracles and

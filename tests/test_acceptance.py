@@ -170,8 +170,8 @@ def test_criterion_5_lie_contract():
         built = builtin(kind)
         for _ in range(200):
             xi = Functional.of(random_functional_coeffs(rng, built.dim))
-            # vergne_polarization raises on any subalgebra/subordination
-            # violation; re-check both independently here.
+            # Subalgebra and subordination, re-checked here; subordination
+            # through the bracket, not the coadjoint form.
             pol = vergne_polarization(built.algebra, built.flag, xi)
             assert built.algebra.is_subalgebra(pol)
             for a in range(pol.dim):

@@ -473,15 +473,75 @@ def test_probe_basis_entry_beyond_float_range_gives_a_report(tmp_path, capsys, z
 
 
 def test_failed_internal_recheck_exits_2_with_one_line(capsys, monkeypatch):
-    # A radical that is not a subalgebra ([X5, X4] = X3) fails isotropy_subalgebra's re-check.
-    from lagsel import lie
+    # A Jacobi eigensolve allowed no sweep cannot converge: the library's
+    # RuntimeError for an internal failure.
+    from lagsel import probe
 
-    monkeypatch.setattr(lie, "null_space", lambda form: Subspace.from_vectors(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]))
-    code, out, err = run(capsys, "vergne", "g54", "--xi=1,0,0,0,0")
+    monkeypatch.setattr(probe, "_JACOBI_MAX_SWEEPS", 0)
+    code, out, err = run(capsys, "probe", "--preset", "g54-discontinuity")
     assert code == 2
     assert out == ""
-    assert err == "check failed: isotropy space is not a subalgebra: internal bug\n"
+    assert err == "check failed: Jacobi eigensolve did not converge\n"
 
+
+def _long_digit_pair(tmp_path):
+    """An m = 4 form with one-digit entries and a flag of 2,000-digit entries.
+
+    Every input entry is under Python's int-to-string digit limit; the
+    selection's entries are over it.
+    """
+    rng = Random(2000)
+    form = {"dim": 4, "upper": [[i, j, str(rng.randint(1, 9))] for i in range(1, 5) for j in range(i + 1, 5)]}
+    columns = [[str(rng.randrange(10**1999, 10**2000)) for _ in range(4)] for _ in range(4)]
+    return write_json(tmp_path, "form.json", form), write_json(tmp_path, "flag.json", {"dim": 4, "columns": columns})
+
+
+def _parse_unlimited(text):
+    """The payload's subspaces, loaded with the digit limit (where the build has one) lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(text)
+        chain = payload["chain"] if "chain" in payload else [payload["selection"]]
+        return [serialize.subspace_from_json(sub) for sub in chain]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_answers_longer_than_the_digit_limit_are_printed(tmp_path, capsys):
+    from lagsel.presymplectic import vergne_select
+    from lagsel.schubert import filtration
+
+    form_path, flag_path = _long_digit_pair(tmp_path)
+    form = serialize.skew_form_from_json(json.loads(Path(form_path).read_text()))
+    flag = serialize.flag_from_json(json.loads(Path(flag_path).read_text()))
+    code, out, err = run(capsys, "polarize", form_path, "--flag", flag_path, "--json")
+    assert (code, err) == (0, "")
+    [selection] = _parse_unlimited(out)
+    assert selection.basis == vergne_select(form, flag).basis
+    assert any(abs(x.numerator) >= 10**4300 for row in selection.basis for x in row)
+    code, out, err = run(capsys, "filtration", form_path, "--flag", flag_path, "--json")
+    assert (code, err) == (0, "")
+    assert [p.basis for p in _parse_unlimited(out)] == [p.basis for p in filtration(form, flag).chain]
+    code, out, _ = run(capsys, "polarize", form_path, "--flag", flag_path)
+    assert code == 0 and out.startswith("selection: dimension ")
+
+
+def test_printing_a_long_answer_keeps_the_digit_limit_for_input(tmp_path, capsys):
+    # A build with no cap (CPython before 3.10.7) reads 0 here and parses any length.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    form_path, flag_path = _long_digit_pair(tmp_path)
+    assert run(capsys, "polarize", form_path, "--flag", flag_path, "--json")[0] == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    path = write_json(tmp_path, "long.json", {"dim": 2, "upper": [[1, 2, "1" * 5000]]})
+    code, out, err = run(capsys, "polarize", path, "--json")
+    if limit:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
 
 
 def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):

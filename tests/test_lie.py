@@ -1,6 +1,7 @@
 """Lie algebras, Vergne polarizations, Casimirs, and coadjoint orbits."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 from random import Random
@@ -167,6 +168,45 @@ def test_check_sample_builds_one_form_and_runs_one_sweep_per_functional(monkeypa
     assert suites.run_suite("example-oracles", seed=0, trials=4).ok
     assert {kind for kind, _, _ in per_sample} == {"g54", "g615", "axb", "heisenberg"}
     assert {(forms, sweeps) for _, forms, sweeps in per_sample} == {(1, 1)}
+
+
+def _g54_isotropic_non_subalgebra(form, flag=None):
+    # On g54, B(X5, a X4 + b X3) = a x3 + b x2 (entries (5, 4) and (5, 3) of
+    # the form), so a = x2, b = -x3 make span(X5, a X4 + b X3) isotropic,
+    # while the bracket a X3 + b X2 leaves the span.
+    x3, x2 = form.matrix.entry(4, 3), form.matrix.entry(4, 2)
+    a, b = (x2, -x3) if x2 or x3 else (1, 0)
+    return span(5, e(5, 5), [0, 0, b, a, 0])
+
+
+def _g54_non_subalgebra_radical(form):
+    # span(X4, X5) is not a subalgebra: [X5, X4] = X3.
+    return span(5, e(5, 4), e(5, 5))
+
+
+@pytest.mark.parametrize(
+    "name, stub, failing",
+    [
+        ("vergne_select", _g54_isotropic_non_subalgebra, "polarization is a subalgebra"),
+        ("vergne_select", lambda form, flag=None: Subspace.full(form.dim), "polarization is subordinate to xi"),
+        ("null_space", _g54_non_subalgebra_radical, "isotropy is a subalgebra"),
+    ],
+    ids=["polarization-subalgebra", "polarization-subordinate", "isotropy-subalgebra"],
+)
+def test_each_theorem_check_of_example_oracles_catches_its_bug(monkeypatch, capsys, name, stub, failing):
+    # The stub replaces the library's answer on g54 only (the one
+    # 5-dimensional algebra at one trial). The named check fails, and so does
+    # the oracle comparison of the same wrong answer; no other check does.
+    from lagsel import cli, suites
+
+    original = getattr(lie, name)
+    monkeypatch.setattr(lie, name, lambda form, *rest: (stub if form.dim == 5 else original)(form, *rest))
+    report = suites.run_suite("example-oracles", trials=1)
+    failed = {re.search(r": (.*) fails at xi=", line).group(1) for line in report.failures}
+    assert failed == {failing, failing.split()[0] + " matches the oracle"}
+    assert all(line.startswith("g54 region ") for line in report.failures)
+    assert cli.main(["verify", "example-oracles", "--trials", "1"]) == 2
+    assert failing in capsys.readouterr().out
 
 
 def test_isotropy_of_zero_functional_is_everything():
@@ -353,8 +393,8 @@ def test_polarization_contract_on_builtins():
             assert pol == built.polarization_oracle(xi)
             assert pol.contains(iso)
             assert 2 * pol.dim == built.dim + iso.dim
-            # Subalgebra and subordination are asserted inside the call; the
-            # checks below re-state them independently.
+            # Subalgebra and subordination, re-stated here; subordination
+            # through the bracket, not the coadjoint form.
             assert algebra.is_subalgebra(pol)
             for a in range(pol.dim):
                 for b in range(pol.dim):

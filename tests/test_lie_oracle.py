@@ -198,7 +198,7 @@ def test_subalgebra_and_ideal_match_oracle():
 
 
 def test_subordinate_check_matches_oracle():
-    # vergne_polarization re-checks <xi, [p, p]> = 0 as isotropy under B_xi.
+    # example-oracles checks <xi, [p, p]> = 0 as isotropy under B_xi.
     rng = Random(11)
     outcomes = set()
     for name in CASES:
