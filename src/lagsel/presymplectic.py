@@ -19,13 +19,14 @@ with one vector fewer.  Otherwise the step goes up and the vector joins
 R_{j+1}.  The selection is spanned by the up-step vectors, so it is maximal
 isotropic, and its jump set is the set of down steps.
 
-``vergne_select`` and ``signature_vector`` are two readings of that one
-sweep.  The first query on a form and a flag keeps a record on the form,
-keyed by the flag, and later queries (the filtration and its verifier too)
-read it there.  The record holds the Gram matrix; the sweep runs on the
-first read of the selection or the signature, and the selection's span is
-built on its own first read.  The record lives as long as the form object
-does: there is no module-level cache.
+``vergne_select``, ``signature_vector`` and ``schubert.filtration`` are
+three readings of that one sweep: the up steps, the radical dimensions, and
+one record (i, j, r) per down step, r being the radical vector that pairs
+at step j and i the step at which r joined.  The first query on a form and
+a flag runs the sweep and keeps it on the form, keyed by the flag, and
+later queries (the filtration's verifier too) read it there; the
+selection's span is built on its own first read.  The record lives as long
+as the form object does: there is no module-level cache.
 
 ``restrict`` and ``Flag.embed`` give the per-step definition (restrict to
 V_j, ``null_space``, embed and sum); the tests' oracle for the sweep is
@@ -54,8 +55,8 @@ class SkewForm:
     equal forms compare and hash equal.  A positive scaling changes no
     orthogonal complement, null space or isotropy, so the integer primitives
     all read ``integer_matrix``.  ``matrix`` is built on first read, and the
-    selection and signature along each flag queried are kept on the form
-    for its lifetime (see ``_swept``).
+    sweep along each flag queried is kept on the form for its lifetime (see
+    ``_swept``).
 
     ``SkewForm(matrix)`` takes a ``Matrix``, the only input not skew by
     construction, and checks there that it is square and exactly
@@ -327,15 +328,19 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list[tuple[int, int, list[int]]]]:
     """Symplectic Gram-Schmidt along the flag basis of a Gram matrix.
 
-    Returns the up-step vectors in flag coordinates and the radical
-    dimensions (|R_1|, ..., |R_m|).  A vector x is carried as the row
-    (x, x^T G), so B(x, y) is the second half of x's row dotted with y, and
-    every update is integral: rows are combined fraction-free and divided
-    by their content, the new vector once per step after all its pair
-    updates.
+    Returns the up-step vectors in flag coordinates, the radical dimensions
+    (|R_1|, ..., |R_m|) and, in order of j, a record (i, j, r) per down step:
+    r is the radical vector that pairs at step j, in flag coordinates, and i
+    the step at which r joined R (both 1-based).  A down step's r updates
+    only radical vectors added after it (those before it are orthogonal to
+    w), so each keeps the last nonzero coordinate it joined with: i is r's.
+    A vector x is carried as the row (x, x^T G), so B(x, y) is the second
+    half of x's row dotted with y, and every update is integral: rows are
+    combined fraction-free and divided by their content, the new vector
+    once per step after all its pair updates.
     """
     m = len(gram)
 
@@ -344,8 +349,10 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
 
     pairs: list[tuple[list[int], list[int], int]] = []  # (u, v, B(u, v))
     radical: list[list[int]] = []
+    joined: list[int] = []  # the step at which each radical vector joined R
     ups: list[list[int]] = []
     dims: list[int] = []
+    downs: list[tuple[int, int, list[int]]] = []
     for j in range(m):
         w = [0] * m + list(gram[j])
         w[j] = 1
@@ -363,49 +370,45 @@ def _sweep(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
                 break
         else:
             radical.append(w)
+            joined.append(j + 1)
             ups.append(w[:m])
             dims.append(len(radical))
             continue
         # Down: (r, w) is a new pair; the rest of R_j is made B-orthogonal to w.
         del radical[k]
+        downs.append((joined.pop(k), j + 1, r[:m]))
         for i, s in enumerate(radical):
             sw = form(s, w)
             if sw:
                 radical[i] = _primitive([rw * x - sw * y for x, y in zip(s, r)])
         pairs.append((r, w, rw))
         dims.append(len(radical))
-    return ups, dims
+    return ups, dims, downs
 
 
 class _Sweep:
-    """The Gram matrix of a form along a flag, and its one sweep read two ways.
+    """The one sweep of a form along a flag, read three ways.
 
-    ``gram`` is ``_integer_gram``'s matrix, which ``filtration`` reads too.
-    The sweep runs on the first read of ``signature``, the signature vector,
-    or of ``selection``, the span of the up-step vectors in the ambient
-    space, so a filtration-only query runs no sweep.  ``selection`` is built
-    on its own first read, so a signature-only query runs no elimination.
+    The sweep runs on ``_integer_gram``'s matrix when ``_swept`` builds this
+    object, and the matrix is not kept.  ``signature`` is the signature
+    vector, ``down_steps`` the (i, j, r) records that ``filtration`` reads,
+    and ``selection`` the span of the up-step vectors in the ambient space,
+    built on its own first read, so a signature- or filtration-only query
+    runs no elimination for it.
     """
 
     def __init__(self, b: SkewForm, flag: Flag):
-        self.gram = _integer_gram(b, flag)
         self._flag = flag
-
-    @cached_property
-    def _run(self) -> tuple[list[list[int]], list[int]]:
-        return _sweep(self.gram)
-
-    @cached_property
-    def signature(self) -> SignatureVector:
-        return SignatureVector(self._flag.dim, tuple(self._run[1]))
+        self._ups, dims, self.down_steps = _sweep(_integer_gram(b, flag))
+        self.signature = SignatureVector(flag.dim, tuple(dims))
 
     @cached_property
     def selection(self) -> Subspace:
-        return Subspace._span(self._flag.dim, self._flag._to_ambient(self._run[0]))
+        return Subspace._span(self._flag.dim, self._flag._to_ambient(self._ups))
 
 
 def _swept(b: SkewForm, flag: Flag | None) -> _Sweep:
-    """The Gram matrix and sweep of the form along the flag (the standard flag for None).
+    """The sweep of the form along the flag (the standard flag for None).
 
     The only place a ``_Sweep`` is built: once per form and flag, kept in
     ``b._sweeps`` under the flag, so it lives exactly as long as the form.

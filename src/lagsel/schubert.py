@@ -11,17 +11,18 @@ ambient space down one dimension at a time,
     p^0 = V,   p^{k+1} = (V_{i_{k+1}} ∩ p^k)^{⊥_B} ∩ p^k,
 
 with i_{k+1} the first flag step whose trace in p^k is not B-orthogonal to
-p^k, stopping at the first isotropic term p^d.  It runs as one fraction-free
-sweep in flag coordinates over the Gram matrix of the flag basis: each p^k is
-kept as a basis in echelon form by last nonzero coordinate, so every trace
-V_i ∩ p^k is a prefix of that basis and no intersection is taken.
+p^k, stopping at the first isotropic term p^d.  It is read off the sweep that
+gives the selection (``presymplectic._sweep``): each down step pairs a
+radical vector r with a flag step j, and with the pairs sorted by the step i
+at which r joined the radical, p^k is the common kernel of B(r_1, .), ...,
+B(r_k, .).  No intersection is taken and no second sweep runs.
 
 The end of the chain is exactly the flag selection ``vergne_select(B)``, the
 recorded index sequences land bijectively in the jump sets of N(B) and of
 the selection, and the jump set of the selection determines the signature
 vector.  All of these facts are exact theorems; ``verify_filtration_lemmas``
 re-checks them on the results callers get, in the ambient space, with
-intersections and one rank profile that share no code with the sweeps, and
+intersections and one rank profile that share no code with the sweep, and
 reports any violation (which would mean a bug here, not new mathematics).
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable
 
 from .linalg import Subspace, _echelon_int_rows, _kernel_generators, check_dim, contains, intersect, kernel
@@ -38,7 +39,6 @@ from .presymplectic import (
     Flag,
     SignatureVector,
     SkewForm,
-    _primitive,
     _swept,
     b_perp,
     null_space,
@@ -125,54 +125,44 @@ class FiltrationTrace:
 def filtration(b: SkewForm, flag: Flag | None = None) -> FiltrationTrace:
     """Run the isotropic filtration for B along the flag.
 
-    Stops at the first isotropic chain member; by construction that member is
-    the flag selection of a Lagrangian subspace and the number of steps is
-    (m - dim N(B)) / 2.
+    Stops at the first isotropic chain member, the flag selection, after
+    (m - dim N(B)) / 2 steps.
 
-    One fraction-free pass over the Gram matrix G of the flag basis, kept
-    with ``vergne_select``'s sweep.  Each member p^k has a basis x_1..x_n in
-    flag coordinates, in echelon form by last nonzero coordinate l_1 < ... <
-    l_n, so its trace V_i ∩ p^k is spanned by the x_t with l_t <= i.  With a
-    the first index with B(x_a, p^k) != 0 and b the first with B(x_a, x_b)
-    != 0, i = l_a, j = l_b, and p^{k+1} = {y in p^k : B(x_a, y) = 0} is
-    spanned by the x_t for t < b and B(x_a, x_b) x_t - B(x_a, x_t) x_b for
-    t > b.  The member itself is the kernel of the functionals B(x_a, .) of
-    the steps so far, mapped into the ambient space.
+    A reading of the sweep kept with ``vergne_select``: its down-step
+    records (i_t, j_t, r_t), sorted by i, give i_seq, j_seq and the members
+    p^k = {y : B(r_1, y) = ... = B(r_k, y) = 0}, the kernels of the rows
+    B (P r_t).  Why this is the definition, with w_t the new vector that
+    pairs with r_t at step j_t:
+
+    - Each update to a radical vector mixes in only an earlier-added r, so
+      r_t keeps the last index i_t of the step that added it: the records
+      are in echelon form by last index, and r_t lies in V_{i_t}.  r_t is
+      B-orthogonal to V_{j_t - 1}, which holds r_s when i_s < i_t, so the
+      r_t are mutually B-orthogonal.  B(r_u, w_t) = 0 for u != t, as w_t is made
+      orthogonal to the earlier pairs and lies in V_{j_t}; B(r_t, w_t) != 0.
+    - V_i is the B-orthogonal sum of the pairs (r_s, w_s) with j_s <= i and
+      of N(B|V_i), spanned by N(B) ∩ V_i and the r_t with i_t <= i < j_t
+      (distinct last indices, as many as the sweep's R_i).  So for y in V_i,
+      B(r_u, y) is B(r_u, w_u) times y's w_u-coefficient.
+    - Let i <= i_{k+1}.  Each pair in V_i has i_s < j_s <= i, so s <= k, and
+      a y in V_i ∩ p^k has no w-coefficient: it lies in N(B) plus the span
+      of the r_t with i_t <= i.  For i < i_{k+1} that is B-orthogonal to
+      p^k; for i = i_{k+1} it adds r_{k+1}, which is in p^k and not
+      orthogonal to w_{k+1}, also in p^k.  So i_{k+1} is the first step
+      whose trace in p^k is not orthogonal to p^k, and the next member is
+      p^k ∩ ker B(r_{k+1}, .).  B(r_{k+1}, .) vanishes on V_{j_{k+1} - 1}
+      but not on w_{k+1}, so j_{k+1} is the first step whose trace in p^k
+      leaves p^{k+1}.  The sweep meets the down steps in order of j, which
+      can differ from the order of i.
+    - The r_t are combinations of up-step vectors, so the selection,
+      isotropic of dimension m - d, lies in p^d, which has that dimension.
     """
     if flag is None:
         flag = Flag.standard(b.dim)
-    gram = _swept(b, flag).gram
-    m = b.dim
-
-    def form(x: list[int], y: list[int]) -> int:
-        return sum(map(mul, x[m:], y))  # B(x, y) = (x^T G) y
-
-    # Flag basis vector t as the row (e_t, e_t^T G); its last index is t.
-    basis = [[int(s == t) for s in range(m)] + list(gram[t]) for t in range(m)]
-    last = list(range(m))
-    chain = [Subspace.full(m)]
-    i_seq: list[int] = []
-    j_seq: list[int] = []
-    functionals: list[list[int]] = []  # the rows B (P x_a), one per step
-    a = 0
-    while a < len(basis):
-        x = basis[a]
-        pair = next((t for t in range(a + 1, len(basis)) if form(x, basis[t])), None)
-        if pair is not None:
-            y = basis.pop(pair)
-            i_seq.append(last[a] + 1)
-            j_seq.append(last.pop(pair) + 1)
-            omega = form(x, y)
-            for t in range(pair, len(basis)):
-                xt = form(x, basis[t])
-                if xt:
-                    basis[t] = _primitive([omega * e - xt * f for e, f in zip(basis[t], y)])
-            (v,) = flag._to_ambient([x[:m]])
-            functionals.append([sum(map(mul, g, v)) for g in b.integer_matrix])
-            chain.append(kernel(functionals))
-        # x_a is now B-orthogonal to the member, and so to every later one.
-        a += 1
-    return FiltrationTrace(tuple(chain), tuple(i_seq), tuple(j_seq))
+    steps = sorted(_swept(b, flag).down_steps, key=itemgetter(0))
+    images = [[sum(map(mul, g, v)) for g in b.integer_matrix] for v in flag._to_ambient(r for *_, r in steps)]
+    chain = (Subspace.full(b.dim), *(kernel(images[:k]) for k in range(1, len(steps) + 1)))
+    return FiltrationTrace(chain, tuple(i for i, _, _ in steps), tuple(j for _, j, _ in steps))
 
 
 def cell_to_signature(e: JumpSet) -> SignatureVector:
@@ -251,9 +241,9 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     not a counterexample; the witness string carries enough context to
     reproduce it.  Witnesses are built only for failed checks.  The checks
     read the results callers get: ``filtration``, ``vergne_select`` and
-    ``signature_vector``, which share the Gram matrix and sweep kept on the
-    form, so a wrong kept record fails a check here.  The checks themselves
-    run in the ambient space and share no code with the sweeps: step k
+    ``signature_vector``, three readings of the one sweep kept on the form,
+    so a wrong kept record fails a check here.  The checks themselves run
+    in the ambient space and share no code with the sweep: step k
     reads only the flag steps V_{i_k} and V_{j_k}, and the dimension ladder
     is the column rank profile of one forward elimination.
     """
@@ -269,8 +259,8 @@ def verify_filtration_lemmas(b: SkewForm, flag: Flag | None = None) -> Filtratio
     def ctx() -> str:
         return f"B={[[str(x) for x in row] for row in b.matrix.entries]}, flag={[[str(x) for x in row] for row in flag.basis_matrix.entries]}"
 
-    # The filtration, selection and signature that callers get: one Gram
-    # matrix and one sweep, kept on the form.
+    # The filtration, selection and signature that callers get: readings of
+    # one sweep, kept on the form.
     trace = filtration(b, flag)
     d = trace.d
     selection, sig = vergne_select(b, flag), signature_vector(b, flag)

@@ -62,7 +62,7 @@ def _dim_field(obj: dict, key: str, least: int) -> int:
 
 
 def _list_field(obj: dict, key: str) -> list:
-    value = obj.get(key, [])
+    value = obj[key]
     if not isinstance(value, list):
         raise ValueError(f"{key!r} must be a list")
     return value
@@ -98,7 +98,7 @@ def skew_form_to_json(form: SkewForm) -> dict:
 
 
 def skew_form_from_json(obj: Any) -> SkewForm:
-    if not isinstance(obj, dict) or "dim" not in obj:
+    if not isinstance(obj, dict) or "dim" not in obj or "upper" not in obj:
         raise ValueError("skew form JSON needs 'dim' and 'upper'")
     dim = _dim_field(obj, "dim", 1)
     entries = []
@@ -139,7 +139,7 @@ def lie_algebra_to_json(algebra: LieAlgebra) -> dict:
 
 
 def lie_algebra_from_json(obj: Any) -> LieAlgebra:
-    if not isinstance(obj, dict) or "dim" not in obj:
+    if not isinstance(obj, dict) or "dim" not in obj or "brackets" not in obj:
         raise ValueError("Lie algebra JSON needs 'dim' and 'brackets'")
     dim = _dim_field(obj, "dim", 1)
     brackets = {}

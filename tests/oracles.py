@@ -7,6 +7,10 @@ per-step radicals.  Only the inputs (a form's Fraction matrix, a flag's
 Fraction columns, a subspace's Fraction basis) and the canonical
 ``Subspace`` the selection is compared as come from ``lagsel``.
 
+``stratum_form`` draws a form with a prescribed signature vector along a
+given flag, in Fraction arithmetic with one Fraction solve, so that a
+corpus can visit every stratum; ``signature_paths`` lists the strata.
+
 ``loop_float_projector`` is the one float reference: the probe's projector
 written with explicit index loops, against which its comprehensions must
 agree bit for bit.
@@ -15,7 +19,8 @@ agree bit for bit.
 from fractions import Fraction
 from math import sqrt
 
-from lagsel.linalg import Subspace
+from lagsel.linalg import Matrix, Subspace
+from lagsel.presymplectic import SkewForm
 
 
 def fraction_rref(rows):
@@ -112,6 +117,52 @@ def per_step_oracle(form, flag):
         vectors += [[dot(x, [col[t] for col in cols[:j]]) for t in range(m)] for x in radical]
         dims.append(len(radical))
     return Subspace.from_vectors(m, vectors), tuple(dims)
+
+
+def signature_paths(m):
+    """Every admissible signature vector of length m: the ±1 paths from k_0 = 0 that stay >= 0."""
+    paths = [(0,)]
+    for _ in range(m):
+        paths = [p + (k,) for p in paths for k in (p[-1] - 1, p[-1] + 1) if k >= 0]
+    return [p[1:] for p in paths]
+
+
+def stratum_form(rng, path, flag):
+    """A skew form whose signature vector along ``flag`` is ``path``.
+
+    Walk the path: an up step joins a pool of unpaired steps, and a down
+    step j takes a random i from the pool and sets G[i][j] = -G[j][i] to a
+    random nonzero rational.  The radical of G on the first t standard basis
+    vectors is then spanned by the pool after step t, so its dimension is
+    the path's k_t.  A random invertible upper-triangular U keeps every
+    flag step of the standard basis, so U^T G U has the same signature.
+    For the flag basis P, B = R^T G R with R = U P^{-1} has Gram matrix
+    P^T B P = U^T G U along the flag.
+    """
+    m = len(path)
+    pairs = []  # (i, j, G[i][j])
+    pool = []
+    for j, (before, after) in enumerate(zip((0, *path), path)):
+        if after > before:
+            pool.append(j)
+        else:
+            i = pool.pop(rng.randrange(len(pool)))
+            pairs.append((i, j, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))))
+    u = [[Fraction(0)] * m for _ in range(m)]
+    for a in range(m):
+        u[a][a] = Fraction(rng.choice((-2, -1, 1, 2)))
+        for c in range(a + 1, m):
+            u[a][c] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    # R^T solves P^T R^T = U^T: reduce [P^T | U^T], P^T's rows being the flag basis vectors.
+    reduced, pivots = fraction_rref([list(flag.column(a)) + [u[t][a] for t in range(m)] for a in range(m)])
+    assert pivots == list(range(m))
+    r = [[row[m + t] for row in reduced] for t in range(m)]
+    b = [[Fraction(0)] * m for _ in range(m)]
+    for i, j, c in pairs:
+        for x in range(m):
+            for y in range(m):
+                b[x][y] += c * (r[i][x] * r[j][y] - r[j][x] * r[i][y])
+    return SkewForm(Matrix(b))
 
 
 def _loop_fdot(u, v):

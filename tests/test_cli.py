@@ -391,6 +391,10 @@ def test_closed_stdout_pipe_keeps_failed_check_exit_code():
         ("polarize", {"dim": 3, "upper": [[1, 2, "1"], [2, 3, "1"], [1, 2, "1"]]}),
         ("vergne", {"dim": 2, "brackets": [[1, 2, ["0", "1"]], [1, 2, ["1", "0"]]]}),
         ("vergne", {"dim": 2, "brackets": [[1, 2, ["1", "0"]], [1, 2, ["1", "0"]]]}),
+        # A required list field that is missing or misspelled.
+        ("polarize", {"dim": 3, "uper": [[1, 2, "1"]]}),
+        ("filtration", {"dim": 3, "uper": [[1, 2, "1"]]}),
+        ("vergne", {"dim": 2, "bracket": [[1, 2, ["1", "0"]]]}),
     ],
 )
 def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, command, payload):

@@ -477,7 +477,11 @@ def test_one_form_answers_each_flag_as_a_fresh_form_does(rational_flag):
 
 
 def per_pair_strip_sweep(gram):
-    """``_sweep`` in index loops, stripping w's content after every pair update."""
+    """``_sweep`` in index loops, stripping w's content after every pair update.
+
+    Each down step records (i, j, r) with i read as r's last nonzero
+    coordinate, where ``_sweep`` records the step at which r joined.
+    """
     m = len(gram)
 
     def form(x, y):
@@ -487,7 +491,7 @@ def per_pair_strip_sweep(gram):
         g = gcd(*row)
         return [x // g for x in row] if g > 1 else row
 
-    pairs, radical, ups, dims = [], [], [], []
+    pairs, radical, ups, dims, downs = [], [], [], [], []
     for j in range(m):
         w = [int(t == j) for t in range(m)] + list(gram[j])
         for u, v, omega in pairs:
@@ -501,6 +505,7 @@ def per_pair_strip_sweep(gram):
             dims.append(len(radical))
             continue
         r = radical.pop(k)
+        downs.append((max(t for t in range(m) if r[t]) + 1, j + 1, r[:m]))
         rw = form(r, w)
         for i, s in enumerate(radical):
             sw = form(s, w)
@@ -508,7 +513,7 @@ def per_pair_strip_sweep(gram):
                 radical[i] = primitive([rw * s[t] - sw * r[t] for t in range(2 * m)])
         pairs.append((r, w, rw))
         dims.append(len(radical))
-    return ups, dims
+    return ups, dims, downs
 
 
 def test_one_content_strip_per_step_gives_the_per_pair_strip_sweep(rational_flag):
@@ -520,9 +525,10 @@ def test_one_content_strip_per_step_gives_the_per_pair_strip_sweep(rational_flag
         flag = (Flag.standard, random_flag, rational_flag)[n % 3]
         flag = flag(m) if n % 3 == 0 else flag(rng, m)
         gram = _integer_gram(form, flag)
-        ups, dims = _sweep(gram)
-        assert (ups, dims) == per_pair_strip_sweep(gram)
-        pairs_seen += (m - dims[-1]) // 2 >= 2
+        ups, dims, downs = _sweep(gram)
+        assert (ups, dims, downs) == per_pair_strip_sweep(gram)
+        assert len(downs) == (m - dims[-1]) // 2
+        pairs_seen += len(downs) >= 2
     assert pairs_seen >= 300
 
 

@@ -1,6 +1,9 @@
 """Jump sets, the isotropic filtration, and cell/signature translation."""
 
 from bisect import bisect_right
+from itertools import chain
+from math import comb
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -13,6 +16,7 @@ from lagsel.presymplectic import (
     SkewForm,
     b_perp,
     is_isotropic,
+    is_lagrangian,
     null_space,
     signature_vector,
     vergne_select,
@@ -28,7 +32,7 @@ from lagsel.schubert import (
     signature_to_cell,
     verify_filtration_lemmas,
 )
-from oracles import new_directions
+from oracles import new_directions, signature_paths, stratum_form
 
 STD5 = Flag.standard(5)
 
@@ -306,9 +310,57 @@ def filtration_cases(rational_flag, count, seed):
         yield form, flag
 
 
-def test_filtration_matches_per_step_oracle(rational_flag):
-    for form, flag in filtration_cases(rational_flag, 520, 31):
+@pytest.fixture(scope="module")
+def stratum_cases():
+    """(path, form, flag) for every signature path with m <= 8, drawn in its stratum on two scrambled flags.
+
+    Built once for the module: generating the forms in Fractions costs more
+    than any one test's checks.
+    """
+    rng = Random(71)
+    cases = []
+    for m in range(1, 9):
+        for path in signature_paths(m):
+            for _ in range(2):
+                flag = random_flag(rng, m)
+                cases.append((path, stratum_form(rng, path, flag), flag))
+    return tuple(cases)
+
+
+def test_stratum_corpus_visits_every_signature_path(stratum_cases):
+    paths = {}
+    for path, form, flag in stratum_cases:
+        paths.setdefault(len(path), set()).add(path)
+        report = verify_filtration_lemmas(form, flag)
+        selection = vergne_select(form, flag)
+        assert signature_vector(form, flag).entries == path
+        assert selection_cell(form, flag) == jump_indices(selection, flag)
+        assert is_lagrangian(form, selection) and contains(selection, null_space(form))
+        assert report.ok, report.failures()
+    assert {m: len(found) for m, found in paths.items()} == {m: comb(m, m // 2) for m in range(1, 9)}
+
+
+def test_filtration_matches_per_step_oracle(rational_flag, stratum_cases):
+    strata = ((form, flag) for _, form, flag in stratum_cases)
+    for form, flag in chain(filtration_cases(rational_flag, 520, 31), strata):
         assert filtration(form, flag) == filtration_oracle(form, flag)
+
+
+def test_lemma_report_catches_a_filtration_read_in_the_sweeps_order(stratum_cases, monkeypatch):
+    # The sweep meets its down steps in order of j.  Sorting the records by
+    # j instead of i keeps that order; where it is not the order of i, the
+    # verifier must say so.  Where the two orders agree, the patched
+    # filtration is the real one, so only the pairs where they differ are
+    # checked.
+    monkeypatch.setattr(schubert, "itemgetter", lambda _: itemgetter(1))
+    caught = 0
+    for _, form, flag in stratum_cases:
+        i_seq = filtration(form, flag).i_seq
+        if i_seq != tuple(sorted(i_seq)):
+            failed = {c.name for c in verify_filtration_lemmas(form, flag).failures()}
+            assert "i-sequence strictly increasing, below j-sequence" in failed
+            caught += 1
+    assert caught >= 50
 
 
 def test_filtration_makes_no_intersect_and_at_most_two_eliminations_per_step(rational_flag, monkeypatch):
@@ -366,7 +418,8 @@ def test_lemma_report_builds_one_gram_matrix_and_one_sweep(rational_flag, grams_
 
 def test_every_reader_of_one_form_and_flag_shares_one_gram_matrix_and_one_sweep(rational_flag, grams_and_sweeps):
     # The verifier, the selection, the signature and the filtration of one
-    # form along one flag, in that order, read one kept Gram matrix and sweep.
+    # form along one flag, in that order, read one kept sweep, run on one
+    # Gram matrix.
     rng = Random(53)
     for m in (3, 5, 7):
         form = random_skew_form(rng, m)
@@ -381,13 +434,13 @@ def test_every_reader_of_one_form_and_flag_shares_one_gram_matrix_and_one_sweep(
             assert report.ok and trace.final == selection and len(signature.entries) == m
 
 
-def test_a_filtration_only_query_builds_the_gram_matrix_and_runs_no_sweep(rational_flag, grams_and_sweeps):
-    # The filtration reads the kept Gram matrix only; the sweep waits for the
-    # first selection or signature query, and then runs once for both.
+def test_filtration_first_then_selection_and_signature_build_one_gram_matrix_and_one_sweep(rational_flag, grams_and_sweeps):
+    # The filtration is a reading of the sweep, so it runs the sweep; the
+    # selection and signature then read the same record.
     for form, flag in filtration_cases(rational_flag, 60, 67):
         grams_and_sweeps.update(gram=0, sweep=0)
         trace = filtration(form, flag)
-        assert grams_and_sweeps == {"gram": 1, "sweep": 0}
+        assert grams_and_sweeps == {"gram": 1, "sweep": 1}
         selection, signature = vergne_select(form, flag), signature_vector(form, flag)
         assert grams_and_sweeps == {"gram": 1, "sweep": 1}
         assert trace.final == selection and len(signature.entries) == flag.dim

@@ -143,8 +143,11 @@ def test_filtration_trace_serialization():
         (serialize.subspace_from_json, {"ambient_dim": 2, "basis": 7}),
         (serialize.subspace_from_json, {"ambient_dim": 65, "basis": []}),
         (serialize.lie_algebra_from_json, {"dim": 2, "brackets": 7}),
-        (serialize.lie_algebra_from_json, {"dim": 2, "labels": 5}),
-        (serialize.lie_algebra_from_json, {"dim": 1, "labels": "X"}),
+        (serialize.lie_algebra_from_json, {"dim": 2, "brackets": [], "labels": 5}),
+        (serialize.lie_algebra_from_json, {"dim": 1, "brackets": [], "labels": "X"}),
+        # A required list field that is missing or misspelled.
+        (serialize.skew_form_from_json, {"dim": 3, "uper": [[1, 2, "1"]]}),
+        (serialize.lie_algebra_from_json, {"dim": 3, "bracket": [[2, 3, ["1", "0", "0"]]]}),
     ],
 )
 def test_loaders_reject_wrong_field_types(loader, payload):
